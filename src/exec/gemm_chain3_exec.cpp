@@ -1,16 +1,15 @@
 #include "exec/gemm_chain3_exec.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 
 #include "exec/chunk_profile.hpp"
 #include "exec/constraints.hpp"
 #include "exec/region_schedule.hpp"
+#include "kernels/exp_row.hpp"
 #include "obs/trace.hpp"
 #include "support/error.hpp"
 #include "support/mathutil.hpp"
-#include "support/timer.hpp"
 #include "tensor/reference.hpp"
 
 namespace chimera::exec {
@@ -256,13 +255,9 @@ runFusedGemmChain3(const GemmChain3Config &config,
                 for (std::int64_t bi = 0; bi < bb; ++bi) {
                     for (std::int64_t r = 0; r < mm; ++r) {
                         float *row = c1Tile + (bi * mm + r) * ll;
-                        float sum = 0.0f;
-                        for (std::int64_t j = 0; j < ll; ++j) {
-                            row[j] = std::exp(config.softmaxScale *
-                                              row[j]);
-                            sum += row[j];
-                        }
-                        const float inv = 1.0f / sum;
+                        const float inv =
+                            1.0f / kernels::expRowSum(row, ll,
+                                                      config.softmaxScale);
                         for (std::int64_t j = 0; j < ll; ++j) {
                             row[j] *= inv;
                         }
@@ -344,7 +339,7 @@ runUnfusedGemmChain3(const GemmChain3Config &config,
         for (std::int64_t i = 0; i < scratchC1.numel(); ++i) {
             p[i] *= config.softmaxScale;
         }
-        ref::softmaxLastDim(scratchC1);
+        kernels::softmaxRows(p, scratchC1.numel() / config.l, config.l);
     }
     runTiledBatchGemm(engine, scratchC1, d, scratchC2, tiles,
                       scratchOptions);

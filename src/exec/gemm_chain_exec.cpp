@@ -1,17 +1,16 @@
 #include "exec/gemm_chain_exec.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <limits>
 
 #include "exec/chunk_profile.hpp"
 #include "exec/region_schedule.hpp"
 #include "ir/builders.hpp"
+#include "kernels/exp_row.hpp"
 #include "obs/trace.hpp"
 #include "support/error.hpp"
 #include "support/mathutil.hpp"
-#include "support/timer.hpp"
 #include "tensor/reference.hpp"
 
 namespace chimera::exec {
@@ -280,21 +279,16 @@ runFusedGemmChain(const GemmChainConfig &config,
                 for (std::int64_t bi = 0; bi < bb; ++bi) {
                     for (std::int64_t r = 0; r < mm; ++r) {
                         float *row = cBase + (bi * mm + r) * ll;
-                        float sum = 0.0f;
-                        const std::int64_t lastValid =
-                            config.causalMask ? (m0 + r) - l0
-                                              : ll - 1;
-                        for (std::int64_t j = 0; j < ll; ++j) {
-                            if (j > lastValid) {
-                                row[j] = 0.0f;
-                                continue;
-                            }
-                            row[j] = std::exp(config.softmaxScale *
-                                              row[j]);
-                            sum += row[j];
-                        }
+                        const std::int64_t valid =
+                            config.causalMask
+                                ? std::clamp<std::int64_t>(
+                                      m0 + r - l0 + 1, 0, ll)
+                                : ll;
                         rowSum[static_cast<std::size_t>(
-                            (b0 + bi) * bigM + m0 + r)] += sum;
+                            (b0 + bi) * bigM + m0 + r)] +=
+                            kernels::expRowSum(row, valid,
+                                               config.softmaxScale);
+                        std::fill(row + valid, row + ll, 0.0f);
                     }
                 }
             }
@@ -344,7 +338,8 @@ runFusedGemmChain(const GemmChainConfig &config,
         }
         parallelFor(pool, 0, rows,
                     [&](std::int64_t row, int) {
-                        const WallTimer rowTimer;
+                        const std::int64_t rowStart =
+                            profile != nullptr ? obs::nowNanos() : 0;
                         if (race != nullptr) {
                             race->claimRange(row, row * bigN,
                                              (row + 1) * bigN);
@@ -356,8 +351,11 @@ runFusedGemmChain(const GemmChainConfig &config,
                             p[j] *= inv;
                         }
                         if (profile != nullptr) {
-                            profile->recordChunk(row,
-                                                 rowTimer.seconds());
+                            profile->recordChunk(
+                                row,
+                                static_cast<double>(obs::nowNanos() -
+                                                    rowStart) *
+                                    1e-9);
                         }
                     });
     }
@@ -482,7 +480,8 @@ runUnfusedGemmChain(const GemmChainConfig &config,
         if (config.causalMask) {
             applyCausalMask(scratchC, config);
         }
-        ref::softmaxLastDim(scratchC);
+        kernels::softmaxRows(scratchC.data(),
+                             scratchC.numel() / config.l, config.l);
     }
     runTiledBatchGemm(engine, scratchC, d, e, tiles2, options);
 }

@@ -85,7 +85,9 @@ blockMatmul(const MicroKernel &kernel, const float *a, std::int64_t lda,
     const std::int64_t mPanels = ceilDiv(m, mr);
     const std::int64_t nPanels = ceilDiv(n, nr);
 
-    // Pack all B panels once: bPack[panel][k][nr].
+    // Pack all B panels once: bPack[panel][k][nr]. Every A row panel
+    // reuses them, and read in place at a large ldb (G2's is 512 floats)
+    // a panel's k rows would fold onto a handful of L1 sets.
     const std::size_t bPanelElems =
         static_cast<std::size_t>(k) * static_cast<std::size_t>(nr);
     float *bPack = workspace.ensureB(bPanelElems *
@@ -98,8 +100,6 @@ blockMatmul(const MicroKernel &kernel, const float *a, std::int64_t lda,
                    bPack + static_cast<std::size_t>(np) * bPanelElems);
     }
 
-    float *aPack = workspace.ensureA(static_cast<std::size_t>(k) *
-                                     static_cast<std::size_t>(mr));
     float *scratch = workspace.ensureScratch(
         static_cast<std::size_t>(mr) * static_cast<std::size_t>(nr));
 
@@ -107,7 +107,21 @@ blockMatmul(const MicroKernel &kernel, const float *a, std::int64_t lda,
         const std::int64_t row0 = mp * mr;
         const int rows = static_cast<int>(std::min<std::int64_t>(
             mr, m - row0));
-        packAPanel(a + row0 * lda, lda, rows, k, mr, aPack);
+        // A is read in place through (lda, 1); only a final partial row
+        // panel is packed, zero-padded to mr rows, so the kernel never
+        // reads past the block. The FMA operands and their order are the
+        // same either way.
+        const float *aPanel = a + row0 * lda;
+        std::int64_t rsA = lda;
+        std::int64_t csA = 1;
+        if (rows < mr) {
+            float *aPack = workspace.ensureA(static_cast<std::size_t>(k) *
+                                             static_cast<std::size_t>(mr));
+            packAPanel(aPanel, lda, rows, k, mr, aPack);
+            aPanel = aPack;
+            rsA = 1;
+            csA = mr;
+        }
         for (std::int64_t np = 0; np < nPanels; ++np) {
             const std::int64_t col0 = np * nr;
             const int cols = static_cast<int>(std::min<std::int64_t>(
@@ -115,14 +129,17 @@ blockMatmul(const MicroKernel &kernel, const float *a, std::int64_t lda,
             float *cTile = c + row0 * ldc + col0;
             const float *bPanel =
                 bPack + static_cast<std::size_t>(np) * bPanelElems;
-            if (rows == mr && cols == nr) {
-                kernel.fn(aPack, bPanel, cTile, ldc, static_cast<int>(k));
-            } else {
+            // Edge tiles accumulate into a zeroed scratch tile first.
+            const bool edge = rows < mr || cols < nr;
+            if (edge) {
                 std::memset(scratch, 0,
                             static_cast<std::size_t>(mr) *
                                 static_cast<std::size_t>(nr) *
                                 sizeof(float));
-                kernel.fn(aPack, bPanel, scratch, nr, static_cast<int>(k));
+            }
+            kernel.strided(aPanel, rsA, csA, bPanel, edge ? scratch : cTile,
+                           edge ? nr : ldc, static_cast<int>(k));
+            if (edge) {
                 for (int r = 0; r < rows; ++r) {
                     const float *src = scratch + r * nr;
                     float *dst = cTile + static_cast<std::int64_t>(r) * ldc;

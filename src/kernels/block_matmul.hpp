@@ -3,9 +3,10 @@
 /**
  * @file
  * Block-level matrix multiply built on the replaceable micro kernel:
- * packs operand panels and walks MR x NR register tiles. This is the
- * computation performed inside one inter-block computation block; the
- * executors (src/exec) call it once per block in the planned order.
+ * packs B panels, reads A in place and walks MR x NR register tiles.
+ * This is the computation performed inside one inter-block computation
+ * block; the executors (src/exec) call it once per block in the planned
+ * order.
  */
 
 #include <cstdint>
@@ -19,7 +20,7 @@ namespace chimera::kernels {
 class Workspace
 {
   public:
-    /** Returns a buffer of at least @p elems floats for packed A. */
+    /** Returns a buffer of at least @p elems floats for a partial A panel. */
     float *ensureA(std::size_t elems);
 
     /** Returns a buffer of at least @p elems floats for packed B. */
@@ -53,7 +54,9 @@ void packBPanel(const float *b, std::int64_t ldb, std::int64_t kc, int cols,
 
 /**
  * C[m x n] += A[m x k] * B[k x n] on strided buffers using @p kernel.
- * Edge tiles are computed into a zeroed scratch and accumulated back.
+ * B is packed; A is read in place except a final partial row panel,
+ * which is packed. Edge tiles are computed into a zeroed scratch and
+ * accumulated back.
  */
 void blockMatmul(const MicroKernel &kernel, const float *a, std::int64_t lda,
                  const float *b, std::int64_t ldb, float *c, std::int64_t ldc,

@@ -11,8 +11,8 @@
 namespace chimera::kernels {
 
 void
-scalarMicroKernel(const float *aPack, const float *bPack, float *c,
-                  std::int64_t ldc, int kc)
+scalarMicroKernel(const float *a, std::int64_t rsA, std::int64_t csA,
+                  const float *bPack, float *c, std::int64_t ldc, int kc)
 {
     float acc[kScalarMr][kScalarNr];
     for (int m = 0; m < kScalarMr; ++m) {
@@ -21,11 +21,12 @@ scalarMicroKernel(const float *aPack, const float *bPack, float *c,
         }
     }
     for (int k = 0; k < kc; ++k) {
-        const float *a = aPack + static_cast<std::int64_t>(k) * kScalarMr;
+        const float *ak = a + static_cast<std::int64_t>(k) * csA;
         const float *b = bPack + static_cast<std::int64_t>(k) * kScalarNr;
         for (int m = 0; m < kScalarMr; ++m) {
+            const float am = ak[m * rsA];
             for (int n = 0; n < kScalarNr; ++n) {
-                acc[m][n] += a[m] * b[n];
+                acc[m][n] += am * b[n];
             }
         }
     }
@@ -46,8 +47,8 @@ namespace {
  * load B vectors, broadcast A in MII groups, emit the FMA block.
  */
 void
-avx2MicroKernel(const float *aPack, const float *bPack, float *c,
-                std::int64_t ldc, int kc)
+avx2MicroKernel(const float *a, std::int64_t rsA, std::int64_t csA,
+                const float *bPack, float *c, std::int64_t ldc, int kc)
 {
     constexpr int kMr = 6;
     constexpr int kNr = 16;
@@ -57,13 +58,13 @@ avx2MicroKernel(const float *aPack, const float *bPack, float *c,
         acc[m][1] = _mm256_loadu_ps(c + m * ldc + 8);
     }
     for (int k = 0; k < kc; ++k) {
-        const float *a = aPack + static_cast<std::int64_t>(k) * kMr;
+        const float *ak = a + static_cast<std::int64_t>(k) * csA;
         const float *b = bPack + static_cast<std::int64_t>(k) * kNr;
         const __m256 b0 = _mm256_loadu_ps(b);
         const __m256 b1 = _mm256_loadu_ps(b + 8);
         for (int mo = 0; mo < kMr; mo += 2) {
-            const __m256 a0 = _mm256_broadcast_ss(a + mo);
-            const __m256 a1 = _mm256_broadcast_ss(a + mo + 1);
+            const __m256 a0 = _mm256_broadcast_ss(ak + mo * rsA);
+            const __m256 a1 = _mm256_broadcast_ss(ak + (mo + 1) * rsA);
             acc[mo][0] = _mm256_fmadd_ps(a0, b0, acc[mo][0]);
             acc[mo][1] = _mm256_fmadd_ps(a0, b1, acc[mo][1]);
             acc[mo + 1][0] = _mm256_fmadd_ps(a1, b0, acc[mo + 1][0]);
@@ -90,8 +91,8 @@ namespace {
  * in-flight A broadcasts — 30 of 32 registers.
  */
 void
-avx512MicroKernel(const float *aPack, const float *bPack, float *c,
-                  std::int64_t ldc, int kc)
+avx512MicroKernel(const float *a, std::int64_t rsA, std::int64_t csA,
+                  const float *bPack, float *c, std::int64_t ldc, int kc)
 {
     constexpr int kMi = 6;
     constexpr int kNi = 4;
@@ -104,15 +105,15 @@ avx512MicroKernel(const float *aPack, const float *bPack, float *c,
         }
     }
     for (int k = 0; k < kc; ++k) {
-        const float *a = aPack + static_cast<std::int64_t>(k) * kMi;
+        const float *ak = a + static_cast<std::int64_t>(k) * csA;
         const float *b = bPack + static_cast<std::int64_t>(k) * kNr;
         __m512 bv[kNi];
         for (int n = 0; n < kNi; ++n) {
             bv[n] = _mm512_loadu_ps(b + n * 16);
         }
         for (int mo = 0; mo < kMi; mo += kMii) {
-            const __m512 a0 = _mm512_set1_ps(a[mo]);
-            const __m512 a1 = _mm512_set1_ps(a[mo + 1]);
+            const __m512 a0 = _mm512_set1_ps(ak[mo * rsA]);
+            const __m512 a1 = _mm512_set1_ps(ak[(mo + 1) * rsA]);
             for (int n = 0; n < kNi; ++n) {
                 acc[mo][n] = _mm512_fmadd_ps(a0, bv[n], acc[mo][n]);
             }
@@ -137,8 +138,9 @@ avx512MicroKernel(const float *aPack, const float *bPack, float *c,
  * can pin it by name to study the tile-shape trade-off.
  */
 void
-avx512TallMicroKernel(const float *aPack, const float *bPack, float *c,
-                      std::int64_t ldc, int kc)
+avx512TallMicroKernel(const float *a, std::int64_t rsA, std::int64_t csA,
+                      const float *bPack, float *c, std::int64_t ldc,
+                      int kc)
 {
     constexpr int kMi = 12;
     constexpr int kNi = 2;
@@ -150,13 +152,13 @@ avx512TallMicroKernel(const float *aPack, const float *bPack, float *c,
         }
     }
     for (int k = 0; k < kc; ++k) {
-        const float *a = aPack + static_cast<std::int64_t>(k) * kMi;
+        const float *ak = a + static_cast<std::int64_t>(k) * csA;
         const float *b = bPack + static_cast<std::int64_t>(k) * kNr;
         const __m512 b0 = _mm512_loadu_ps(b);
         const __m512 b1 = _mm512_loadu_ps(b + 16);
         for (int mo = 0; mo < kMi; mo += 2) {
-            const __m512 a0 = _mm512_set1_ps(a[mo]);
-            const __m512 a1 = _mm512_set1_ps(a[mo + 1]);
+            const __m512 a0 = _mm512_set1_ps(ak[mo * rsA]);
+            const __m512 a1 = _mm512_set1_ps(ak[(mo + 1) * rsA]);
             acc[mo][0] = _mm512_fmadd_ps(a0, b0, acc[mo][0]);
             acc[mo][1] = _mm512_fmadd_ps(a0, b1, acc[mo][1]);
             acc[mo + 1][0] = _mm512_fmadd_ps(a1, b0, acc[mo + 1][0]);
@@ -174,19 +176,41 @@ avx512TallMicroKernel(const float *aPack, const float *bPack, float *c,
 
 #endif // __AVX512F__
 
+namespace {
+
+/** The packed entry of strided kernel @p Strided: A strides (1, Mr). */
+template <MicroKernelStridedFn Strided, int Mr>
+void
+packedEntry(const float *aPack, const float *bPack, float *c,
+            std::int64_t ldc, int kc)
+{
+    Strided(aPack, 1, Mr, bPack, c, ldc, kc);
+}
+
+/** Registration record of strided kernel @p Strided and its packed entry. */
+template <MicroKernelStridedFn Strided, int Mr, int Nr>
+MicroKernel
+registration(const char *name, SimdTier tier)
+{
+    return MicroKernel{name, tier, Mr, Nr, &packedEntry<Strided, Mr>,
+                       Strided};
+}
+
+} // namespace
+
 MicroKernelRegistry::MicroKernelRegistry()
 {
-    add(MicroKernel{"scalar_6x16", SimdTier::Scalar, kScalarMr, kScalarNr,
-                    &scalarMicroKernel});
+    add(registration<&scalarMicroKernel, kScalarMr, kScalarNr>(
+        "scalar_6x16", SimdTier::Scalar));
 #if defined(__AVX2__)
-    add(MicroKernel{"avx2_6x16", SimdTier::Avx2Fma, 6, 16,
-                    &avx2MicroKernel});
+    add(registration<&avx2MicroKernel, 6, 16>("avx2_6x16",
+                                              SimdTier::Avx2Fma));
 #endif
 #if defined(__AVX512F__)
-    add(MicroKernel{"avx512_6x64", SimdTier::Avx512, 6, 64,
-                    &avx512MicroKernel});
-    add(MicroKernel{"avx512_12x32", SimdTier::Avx512, 12, 32,
-                    &avx512TallMicroKernel});
+    add(registration<&avx512MicroKernel, 6, 64>("avx512_6x64",
+                                                SimdTier::Avx512));
+    add(registration<&avx512TallMicroKernel, 12, 32>("avx512_12x32",
+                                                     SimdTier::Avx512));
 #endif
 }
 
@@ -200,7 +224,8 @@ MicroKernelRegistry::instance()
 void
 MicroKernelRegistry::add(const MicroKernel &kernel)
 {
-    CHIMERA_CHECK(kernel.fn != nullptr && kernel.mr > 0 && kernel.nr > 0,
+    CHIMERA_CHECK(kernel.fn != nullptr && kernel.strided != nullptr &&
+                      kernel.mr > 0 && kernel.nr > 0,
                   "malformed micro kernel registration");
     kernels_.push_back(kernel);
 }

@@ -6,12 +6,13 @@
  *
  * A replaceable micro kernel is the abstraction of one computation
  * block's innermost matrix-multiply: semantically a naive loop nest
- *     C[m, n] += sum_k A[k, m] * B[k, n]   (packed operands)
- * for an MR x NR register tile. Hardware-specific implementations
- * (scalar, AVX2 FMA, AVX-512 per Algorithm 2) are *registered* under
- * this abstraction and the widest implementation supported by the
- * running CPU is selected at plan execution time — the CPU instance of
- * the paper's per-backend kernel substitution.
+ *     C[m, n] += sum_k A[m, k] * B[k, n]
+ * for an MR x NR register tile, with B packed and A read through
+ * strides. Hardware-specific implementations (scalar, AVX2 FMA, AVX-512
+ * per Algorithm 2) are *registered* under this abstraction and the
+ * widest implementation supported by the running CPU is selected at
+ * plan execution time — the CPU instance of the paper's per-backend
+ * kernel substitution.
  */
 
 #include <cstdint>
@@ -23,13 +24,25 @@
 namespace chimera::kernels {
 
 /**
- * Computes C[MR x NR] += Apack^T * Bpack over kc steps.
+ * Computes C[MR x NR] += A * Bpack over kc steps.
  *
- * @param aPack Packed A panel, layout aPack[k*MR + m].
+ * @param a     A panel base; element (m, k) at a[m*rsA + k*csA]. A
+ *              row-major block read in place has strides (lda, 1); a
+ *              packAPanel panel has strides (1, MR).
+ * @param rsA   Row stride of A in elements.
+ * @param csA   Reduction-axis stride of A in elements.
  * @param bPack Packed B panel, layout bPack[k*NR + n].
  * @param c     Output tile base pointer; element (m, n) at c[m*ldc + n].
  * @param ldc   Row stride of C in elements.
  * @param kc    Reduction depth (KI in Algorithm 2), >= 1.
+ */
+using MicroKernelStridedFn = void (*)(const float *a, std::int64_t rsA,
+                                      std::int64_t csA, const float *bPack,
+                                      float *c, std::int64_t ldc, int kc);
+
+/**
+ * The packed entry: C[MR x NR] += Apack^T * Bpack with the A panel in
+ * packAPanel layout aPack[k*MR + m].
  */
 using MicroKernelFn = void (*)(const float *aPack, const float *bPack,
                                float *c, std::int64_t ldc, int kc);
@@ -46,7 +59,11 @@ struct MicroKernel
     /** Register tile columns in elements (NI * vector lanes). */
     int nr = 0;
 
+    /** Packed entry: the strided body called with strides (1, mr). */
     MicroKernelFn fn = nullptr;
+
+    /** Strided entry, the one body blockMatmul calls. */
+    MicroKernelStridedFn strided = nullptr;
 };
 
 /**
@@ -82,8 +99,9 @@ class MicroKernelRegistry
 };
 
 /** The portable reference implementation (also the high-level spec). */
-void scalarMicroKernel(const float *aPack, const float *bPack, float *c,
-                       std::int64_t ldc, int kc);
+void scalarMicroKernel(const float *a, std::int64_t rsA, std::int64_t csA,
+                       const float *bPack, float *c, std::int64_t ldc,
+                       int kc);
 
 /** Scalar kernel register-tile shape. */
 inline constexpr int kScalarMr = 6;

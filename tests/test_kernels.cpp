@@ -1,15 +1,20 @@
 /**
  * @file
  * Unit tests for the replaceable micro kernels: registry behaviour,
- * parameter selection (§V-B), packing, and block matmul correctness for
- * every registered implementation.
+ * parameter selection (§V-B), packing, block matmul correctness for
+ * every registered implementation, and the softmax exp row routine.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "kernels/block_matmul.hpp"
+#include "kernels/exp_row.hpp"
 #include "kernels/kernel_params.hpp"
 #include "kernels/micro_kernel.hpp"
 #include "support/error.hpp"
@@ -89,9 +94,12 @@ TEST(Registry, ByNameLookup)
 TEST(Registry, AddRejectsMalformed)
 {
     MicroKernelRegistry registry;
-    EXPECT_THROW(registry.add(MicroKernel{"bad", SimdTier::Scalar, 0, 8,
-                                          &scalarMicroKernel}),
-                 Error);
+    MicroKernel noRows = registry.byName("scalar_6x16");
+    noRows.mr = 0;
+    EXPECT_THROW(registry.add(noRows), Error);
+    MicroKernel noStrided = registry.byName("scalar_6x16");
+    noStrided.strided = nullptr;
+    EXPECT_THROW(registry.add(noStrided), Error);
 }
 
 TEST(Packing, APanelTransposesAndPads)
@@ -181,6 +189,39 @@ TEST_P(MicroKernelCorrectness, KcOneWorks)
     packBPanel(b.data(), kernel.nr, 1, kernel.nr, kernel.nr, bPack.data());
     kernel.fn(aPack.data(), bPack.data(), c.data(), kernel.nr, 1);
     EXPECT_TRUE(allClose(c, expected, 1e-5f, 1e-6f));
+}
+
+TEST_P(MicroKernelCorrectness, StridedEntryMatchesPackedEntry)
+{
+    // The same tile two ways: the strided entry on raw A rows (lda != kc)
+    // and the packed entry on packAPanel output. Both must write the same
+    // bits into a C with an odd row stride.
+    const MicroKernel &kernel =
+        MicroKernelRegistry::instance().byName(GetParam());
+    const int kc = 37;
+    const std::int64_t lda = kc + 5;
+    const std::int64_t ldc = kernel.nr + 3;
+    Rng rng(41);
+    std::vector<float> a(static_cast<std::size_t>(kernel.mr * lda));
+    std::vector<float> bPack(static_cast<std::size_t>(kc * kernel.nr));
+    std::vector<float> cStrided(static_cast<std::size_t>(kernel.mr * ldc));
+    for (std::vector<float> *buffer : {&a, &bPack, &cStrided}) {
+        for (float &v : *buffer) {
+            v = rng.uniform(-1.0f, 1.0f);
+        }
+    }
+    std::vector<float> cPacked = cStrided;
+
+    kernel.strided(a.data(), lda, 1, bPack.data(), cStrided.data(), ldc, kc);
+
+    std::vector<float> aPack(static_cast<std::size_t>(kc * kernel.mr));
+    packAPanel(a.data(), lda, kernel.mr, kc, kernel.mr, aPack.data());
+    kernel.fn(aPack.data(), bPack.data(), cPacked.data(), ldc, kc);
+
+    EXPECT_EQ(std::memcmp(cStrided.data(), cPacked.data(),
+                          cStrided.size() * sizeof(float)),
+              0)
+        << "kernel " << kernel.name;
 }
 
 std::vector<std::string>
@@ -306,6 +347,182 @@ TEST(NaiveBlockMatmul, MatchesReference)
     ref::gemm(a, b, expected);
     naiveBlockMatmul(a.data(), 11, b.data(), 13, c.data(), 13, 9, 13, 11);
     EXPECT_TRUE(allClose(c, expected, 1e-4f, 1e-4f));
+}
+
+/** |got - exact| in units of the float ulp at @p exact (normal range). */
+double
+ulpError(float got, double exact)
+{
+    int exponent = 0;
+    std::frexp(exact, &exponent);
+    return std::fabs(static_cast<double>(got) - exact) /
+           std::ldexp(1.0, exponent - 24);
+}
+
+std::uint32_t
+bitsOf(float v)
+{
+    return std::bit_cast<std::uint32_t>(v);
+}
+
+TEST(ExpRowSum, WithinUlpBoundOfDoubleExp)
+{
+    constexpr std::int64_t kPoints = 1 << 20;
+    std::vector<float> xs(static_cast<std::size_t>(kPoints));
+    for (std::int64_t i = 0; i < kPoints; ++i) {
+        xs[static_cast<std::size_t>(i)] =
+            -80.0f + 160.0f * static_cast<float>(i) /
+                         static_cast<float>(kPoints - 1);
+    }
+    std::vector<float> ys = xs;
+    expRowSum(ys.data(), kPoints, 1.0f);
+    double worst = 0.0;
+    float worstX = 0.0f;
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+        const double err =
+            ulpError(ys[i], std::exp(static_cast<double>(xs[i])));
+        if (err > worst) {
+            worst = err;
+            worstX = xs[i];
+        }
+    }
+    EXPECT_LE(worst, 1.25) << "worst at x = " << worstX;
+}
+
+TEST(ExpRowSum, RowsOfLength1To33)
+{
+    Rng rng(17);
+    const float scale = 0.37f;
+    for (int n = 1; n <= 33; ++n) {
+        std::vector<float> row(static_cast<std::size_t>(n) + 3);
+        for (float &v : row) {
+            v = rng.uniform(-10.0f, 10.0f);
+        }
+        const std::vector<float> in = row;
+        const float sum = expRowSum(row.data(), n, scale);
+        double expectedSum = 0.0;
+        for (int j = 0; j < n; ++j) {
+            const double exact =
+                std::exp(static_cast<double>(scale * in[j]));
+            EXPECT_LE(ulpError(row[j], exact), 1.25) << "n " << n;
+            expectedSum += row[j];
+        }
+        EXPECT_NEAR(sum, expectedSum, 1e-6 * expectedSum) << "n " << n;
+        for (std::size_t j = static_cast<std::size_t>(n); j < row.size();
+             ++j) {
+            EXPECT_EQ(bitsOf(row[j]), bitsOf(in[j])) << "n " << n;
+        }
+    }
+}
+
+TEST(ExpRowSum, ValidPrefixOnly)
+{
+    // A prefix call writes the full-row call's bits on the prefix, sums
+    // only the prefix, and leaves the rest of the row alone.
+    constexpr int kLength = 40;
+    Rng rng(23);
+    std::vector<float> in(kLength);
+    for (float &v : in) {
+        v = rng.uniform(-6.0f, 6.0f);
+    }
+    std::vector<float> full = in;
+    expRowSum(full.data(), kLength, 0.5f);
+    for (int valid = 0; valid <= kLength; ++valid) {
+        std::vector<float> row = in;
+        const float sum = expRowSum(row.data(), valid, 0.5f);
+        double expectedSum = 0.0;
+        for (int j = 0; j < kLength; ++j) {
+            const float want = j < valid ? full[static_cast<std::size_t>(j)]
+                                         : in[static_cast<std::size_t>(j)];
+            EXPECT_EQ(bitsOf(row[static_cast<std::size_t>(j)]),
+                      bitsOf(want))
+                << "valid " << valid << " j " << j;
+            if (j < valid) {
+                expectedSum += want;
+            }
+        }
+        EXPECT_NEAR(sum, expectedSum, 1e-6 * expectedSum + 1e-30)
+            << "valid " << valid;
+    }
+    EXPECT_EQ(expRowSum(nullptr, 0, 1.0f), 0.0f);
+}
+
+TEST(ExpRowSum, BitsIndependentOfOffsetAndAlignment)
+{
+    constexpr int kLength = 37; // two full 16-lane blocks and a tail
+    Rng rng(29);
+    std::vector<float> in(kLength);
+    for (float &v : in) {
+        v = rng.uniform(-20.0f, 20.0f);
+    }
+    std::vector<float> reference = in;
+    const float referenceSum = expRowSum(reference.data(), kLength, 0.125f);
+    std::vector<float> buffer(kLength + 64);
+    for (int offset = 0; offset < 64; ++offset) {
+        float *row = buffer.data() + offset;
+        std::copy(in.begin(), in.end(), row);
+        const float sum = expRowSum(row, kLength, 0.125f);
+        EXPECT_EQ(bitsOf(sum), bitsOf(referenceSum)) << "offset " << offset;
+        EXPECT_EQ(std::memcmp(row, reference.data(), kLength * sizeof(float)),
+                  0)
+            << "offset " << offset;
+    }
+    // One value at every position, full blocks and tail alike.
+    std::vector<float> same(kLength, 1.7f);
+    expRowSum(same.data(), kLength, 1.0f);
+    for (float v : same) {
+        EXPECT_EQ(bitsOf(v), bitsOf(same[0]));
+    }
+}
+
+TEST(ExpRowSum, SpecialValuesFollowStdExp)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    const float maxFloat = std::numeric_limits<float>::max();
+    const float lastFinite = 88.72283172607421875f;
+    const std::vector<float> xs = {
+        inf,        -inf,
+        maxFloat,   -maxFloat,
+        1e30f,      -1e30f,
+        89.0f,      std::nextafter(lastFinite, inf),
+        lastFinite, -104.0f,
+        -200.0f,    0.0f,
+        -0.0f,      1.0f};
+    for (float x : xs) {
+        float y = x;
+        expRowSum(&y, 1, 1.0f);
+        EXPECT_EQ(bitsOf(y), bitsOf(std::exp(x))) << "x = " << x;
+    }
+    std::vector<float> withNan = {0.0f, std::nanf(""), 1.0f};
+    EXPECT_TRUE(std::isnan(expRowSum(withNan.data(), 3, 1.0f)));
+    EXPECT_TRUE(std::isnan(withNan[1]));
+    EXPECT_EQ(bitsOf(withNan[0]), bitsOf(1.0f));
+    std::vector<float> withInf = {0.0f, inf};
+    EXPECT_EQ(expRowSum(withInf.data(), 2, 1.0f), inf);
+}
+
+TEST(SoftmaxRows, MatchesReferenceAndMasksToZero)
+{
+    // The unfused proxy's row softmax: max subtraction, then expRowSum;
+    // -inf entries (causal mask) come out exactly 0.
+    Tensor t({5, 21});
+    Rng rng(31);
+    fillUniform(t, rng);
+    for (std::int64_t r = 0; r < 5; ++r) {
+        for (std::int64_t j = r + 10; j < 21; ++j) {
+            t.at({r, j}) = -std::numeric_limits<float>::infinity();
+        }
+    }
+    Tensor expected = t;
+    ref::softmaxLastDim(expected);
+    softmaxRows(t.data(), 5, 21);
+    EXPECT_TRUE(allClose(t, expected, 1e-6f, 1e-6f))
+        << "maxdiff " << maxAbsDiff(t, expected);
+    for (std::int64_t r = 0; r < 5; ++r) {
+        for (std::int64_t j = r + 10; j < 21; ++j) {
+            EXPECT_EQ(t.at({r, j}), 0.0f);
+        }
+    }
 }
 
 } // namespace
