@@ -171,8 +171,7 @@ reportAnalysisOverhead()
         analysis::SafetyOptions so;
         so.memCapacityBytes = kCpuCapacityBytes;
         const analysis::SafetyAnalysis sa = analysis::analyzeSafety(
-            chain, plan.perm, plan.tiles,
-            plan::effectiveConcurrency(chain, plan),
+            chain, plan.tiles, plan::effectiveConcurrency(chain, plan),
             std::max(1, plan.plannedThreads), plan.parallelGrain,
             analysis::ShapeDomain::concrete(chain), so);
         safetyMs += sa.totalSeconds * 1e3;

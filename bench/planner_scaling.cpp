@@ -1,18 +1,18 @@
 /**
  * @file
  * Planner scaling versus chain length: wall-clock planning time and
- * tile solves under each pruning mode, against exhaustive enumeration.
+ * tile solves under symmetry pruning, against exhaustive enumeration.
  *
  * The order-search space is factorial in the reorderable axes — 4! for
  * a two-GEMM chain but 6! = 720 for a batched three-GEMM chain — so
  * chain-N planning lives or dies on how many of those orders actually
  * reach the tile solver. This bench plans chains of fused length 2
  * (two-GEMM), 3 (three-GEMM + ReLU) and 4 (the attention pattern
- * QK^T -> softmax -> .V -> proj) under every pruning mode and reports,
- * per mode, the planning wall clock and the candidates-solved count
- * next to the exhaustive baseline. Exact modes (symmetry, dominance)
- * must reproduce the exhaustive argmin bitwise — the bench exits 1 if
- * they do not, so CI gets a pruning-soundness gate for free.
+ * QK^T -> softmax -> .V -> proj) exhaustively and with symmetry
+ * pruning and reports, per mode, the planning wall clock and the
+ * candidates-solved count. Symmetry pruning must reproduce the
+ * exhaustive argmin bitwise — the bench exits 1 if it does not, so CI
+ * gets a pruning-soundness gate for free.
  *
  * Writes BENCH_planner.json (run from the repo root in CI). --quick
  * shrinks the shapes; --threads N sets the planner thread count.
@@ -36,7 +36,7 @@ struct ModeResult
     analysis::PruneMode mode = analysis::PruneMode::None;
     double planSeconds = 0.0;
     analysis::SearchStats stats;
-    bool argminMatch = true; // vs the exhaustive plan (exact modes)
+    bool argminMatch = true; // vs the exhaustive plan
 };
 
 struct ChainResult
@@ -89,11 +89,9 @@ benchChain(const ir::Chain &chain,
     const plan::ExecutionPlan exhaustive = plan::planChain(chain, po);
 
     for (const analysis::PruneMode mode :
-         {analysis::PruneMode::None, analysis::PruneMode::Symmetry,
-          analysis::PruneMode::Dominance, analysis::PruneMode::Beam}) {
+         {analysis::PruneMode::None, analysis::PruneMode::Symmetry}) {
         ModeResult mr = planUnderMode(chain, constraints, threads, mode);
-        if (mode == analysis::PruneMode::Symmetry ||
-            mode == analysis::PruneMode::Dominance) {
+        if (mode == analysis::PruneMode::Symmetry) {
             plan::PlannerOptions check = po;
             check.prune = mode;
             const plan::ExecutionPlan pruned =
@@ -117,7 +115,7 @@ main(int argc, char **argv)
         "planner scaling — pruned order search vs chain length",
         "Chains of fused length 2/3/4; per pruning mode: planning wall "
         "clock (best of 3) and tile solves vs exhaustive enumeration. "
-        "Exact modes must reproduce the exhaustive argmin bitwise.");
+        "Symmetry pruning must reproduce the exhaustive argmin bitwise.");
 
     const std::int64_t s = quick ? 64 : 256;
 
@@ -202,9 +200,6 @@ main(int argc, char **argv)
                  << ", \"enumerated\": " << mr.stats.enumerated
                  << ", \"filtered\": " << mr.stats.filtered
                  << ", \"symmetry_pruned\": " << mr.stats.symmetryPruned
-                 << ", \"dominance_pruned\": " << mr.stats.dominancePruned
-                 << ", \"beam_pruned\": " << mr.stats.beamPruned
-                 << ", \"gap_bytes\": " << mr.stats.gapBoundBytes
                  << ", \"argmin_match\": "
                  << (mr.argminMatch ? "true" : "false") << "}"
                  << (mi + 1 < cr.modes.size() ? "," : "") << "\n";
@@ -217,7 +212,7 @@ main(int argc, char **argv)
     std::printf("wrote BENCH_planner.json\n");
 
     if (!sound) {
-        std::fprintf(stderr, "FATAL: an exact pruning mode changed the "
+        std::fprintf(stderr, "FATAL: symmetry pruning changed the "
                              "planner argmin\n");
         return 1;
     }

@@ -2,22 +2,22 @@
 # Safety sweep: dynamic and static.
 #
 # Dynamic: runs chimera-check --race (shadow-memory write tracking, see
-# src/analysis/race_checker.hpp) over example-sized chain shapes — which
-# must come back clean — and over the seeded-race fixtures, which
-# mis-declare a reduction axis as parallel and must be flagged RC01.
+# src/analysis/race_checker.hpp) over example-sized chain shapes, which
+# must come back clean. Seeded races need a mis-declared concurrency
+# table, which only an in-memory plan can carry (plan documents hold
+# decisions only), so they are unit tests (tests/test_parallel_exec.cpp).
 #
 # Static: runs chimera-check --static (symbolic safety analyzer, see
 # src/analysis/static_safety.hpp) over the same clean shapes — every
-# planner schedule must certify — and over the seeded SB fixtures, each
-# of which must be refuted with its own rule id.
+# planner schedule must certify — and over the seeded SB01-SB03
+# fixtures, each of which must be refuted with its own rule id.
 #
 # Search: runs chimera-check --search (order-search replay, see
-# src/verify/search_verifier.hpp) over the clean shapes — pruned search
-# must replay against exhaustive enumeration without OE findings — and
-# over the tampered-search fixture, which must be refused as PL15.
+# src/verify/search_verifier.hpp) over the clean shapes — symmetry
+# pruning must replay against exhaustive enumeration without OE01.
 #
 # Exit-code contract under test: rule violations exit 1, usage/IO
-# failures exit 2, clean runs exit 0.
+# failures (malformed numbers included) exit 2, clean runs exit 0.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -53,12 +53,6 @@ echo "== planner schedules must race-check clean =="
 "$CHECK" conv 1 16 16 16 16 16 3 3 1 1 --race
 "$CHECK" conv 1 8 28 28 16 32 3 1 2 1 --race # squeezenet-stem-shaped
 
-echo "== seeded-race fixtures must be flagged =="
-expect_rule RC01 1 "$CHECK" gemm 1 64 64 64 64 --race \
-    --plan tests/fixtures/race_parallel_l.plan
-expect_rule RC01 1 "$CHECK" conv 1 16 16 16 16 16 3 3 1 1 --race \
-    --plan tests/fixtures/race_parallel_oc1.plan
-
 echo "== planner schedules must certify statically =="
 static_clean() {
     local out
@@ -86,10 +80,6 @@ expect_rule SB02 1 "$CHECK" gemm 1 64 64 64 64 --capacity 32768 --static \
 # sb03: m*n element offsets of the output exceed int64 at these extents.
 expect_rule SB03 1 "$CHECK" gemm 1 4300000000 4300000000 64 64 \
     --no-recount --static --plan tests/fixtures/sb03_overflow.plan
-# sb04: l is a reduction axis of the second gemm; marking it parallel
-# has no shape-generic disjointness proof.
-expect_rule SB04 1 "$CHECK" gemm 1 64 64 64 64 --static \
-    --plan tests/fixtures/sb04_race_parallel_l.plan
 
 echo "== pruned order search must replay exactly =="
 search_clean() {
@@ -103,17 +93,10 @@ search_clean() {
     echo "search replay clean: $*"
 }
 search_clean "$CHECK" gemm 1 64 64 64 64 --search
-search_clean "$CHECK" gemm 1 64 64 64 64 --search --prune symmetry
 search_clean "$CHECK" gemm 4 128 64 64 128 --softmax --search
 search_clean "$CHECK" gemm3 2 64 32 32 48 16 --search
 search_clean "$CHECK" gemm3 1 64 64 64 64 32 --softmax --search # attention
-search_clean "$CHECK" gemm 1 64 64 64 64 --search --prune beam --beam-width 4
 search_clean "$CHECK" conv 1 16 16 16 16 16 3 3 1 1 --search
-
-# pl15: self-consistent counts under a forged digest — the search line
-# was tampered with (or replayed from another plan) and must be refused.
-expect_rule PL15 1 "$CHECK" gemm 1 64 64 64 64 \
-    --plan tests/fixtures/pl15_tampered_search.plan
 
 echo "== usage/IO failures must exit 2, not 1 =="
 probe_status() {
@@ -131,6 +114,10 @@ probe_status 2 "$CHECK" gemm 1 64 64 64 64 \
     --plan tests/fixtures/does_not_exist.plan
 probe_status 2 "$CHECK" gemm 1 64 64 64 64 --static --domain bogus=4096
 probe_status 2 "$CHECK"
+# Malformed numbers: once read as 0 (capacity check off) or truncated.
+probe_status 2 "$CHECK" gemm 1 64 64 64 64 --capacity abc \
+    --plan tests/fixtures/over_capacity.plan
+probe_status 2 "$CHECK" gemm 1 64x 64 64 64
 
 echo "== chimera-plan tracing obeys the same exit-code contract =="
 PLAN=build/tools/chimera-plan

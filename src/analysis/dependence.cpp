@@ -114,22 +114,6 @@ concurrencyName(AxisConcurrency kind)
 }
 
 AxisConcurrency
-concurrencyFromName(const std::string &name, const std::string &context)
-{
-    if (name == "parallel") {
-        return AxisConcurrency::Parallel;
-    }
-    if (name == "reduction") {
-        return AxisConcurrency::Reduction;
-    }
-    if (name == "sequential") {
-        return AxisConcurrency::Sequential;
-    }
-    throw Error(context + ": unknown concurrency kind \"" + name +
-                "\" (expected parallel, reduction or sequential)");
-}
-
-AxisConcurrency
 ConcurrencyTable::kindOf(AxisId axis) const
 {
     return axes[static_cast<std::size_t>(axis)].kind;

@@ -63,15 +63,8 @@ enum class AxisConcurrency
     Sequential, ///< blocks overlap on a chain output; no reordering
 };
 
-/** Lower-case name used in plan documents ("parallel", ...). */
+/** Lower-case display name ("parallel", "reduction", "sequential"). */
 const char *concurrencyName(AxisConcurrency kind);
-
-/**
- * Parses a plan-document concurrency kind token. Throws chimera::Error
- * naming @p context when @p name is not a known kind.
- */
-AxisConcurrency concurrencyFromName(const std::string &name,
-                                    const std::string &context);
 
 /** Classification of one axis plus the justification. */
 struct AxisClassification

@@ -51,20 +51,6 @@ axisName(const Chain &chain, AxisId a)
     return chain.axes()[static_cast<std::size_t>(a)].name;
 }
 
-/** Joins int64 values with commas ("16,8,1"). */
-std::string
-joinInts(const std::vector<std::int64_t> &values)
-{
-    std::string out;
-    for (std::size_t i = 0; i < values.size(); ++i) {
-        if (i != 0) {
-            out += ",";
-        }
-        out += std::to_string(values[i]);
-    }
-    return out;
-}
-
 } // namespace
 
 SymRange
@@ -106,27 +92,6 @@ ShapeDomain::concrete(const Chain &chain)
     d.lo = chain.fullExtents();
     d.hi = d.lo;
     return d;
-}
-
-void
-ShapeDomain::widen(const Chain &chain, const std::string &axisName,
-                   std::int64_t maxExtent)
-{
-    for (AxisId a = 0; a < chain.numAxes(); ++a) {
-        const ir::Axis &axis = chain.axes()[static_cast<std::size_t>(a)];
-        if (axis.name != axisName) {
-            continue;
-        }
-        CHIMERA_CHECK(maxExtent >= axis.extent,
-                      "shape domain for axis \"" + axisName +
-                          "\" must admit the chain's concrete extent " +
-                          std::to_string(axis.extent) + " (got max " +
-                          std::to_string(maxExtent) + ")");
-        lo[static_cast<std::size_t>(a)] = 1;
-        hi[static_cast<std::size_t>(a)] = maxExtent;
-        return;
-    }
-    throw Error("shape domain names unknown axis \"" + axisName + "\"");
 }
 
 bool
@@ -234,28 +199,6 @@ SafetyAnalysis::renderViolations() const
                v.message;
     }
     return out;
-}
-
-std::string
-safetyDigest(const Chain &chain, const std::vector<AxisId> &perm,
-             const std::vector<std::int64_t> &tiles, int workers,
-             const std::vector<std::int64_t> &grain,
-             const std::string &domain, const std::string &rules)
-{
-    std::string blob = ir::chainSignature(chain);
-    blob += "|order=";
-    for (std::size_t i = 0; i < perm.size(); ++i) {
-        if (i != 0) {
-            blob += ",";
-        }
-        blob += std::to_string(perm[i]);
-    }
-    blob += "|tiles=" + joinInts(tiles);
-    blob += "|threads=" + std::to_string(workers);
-    blob += "|grain=" + joinInts(grain);
-    blob += "|domain=" + domain;
-    blob += "|rules=" + rules;
-    return fnv1a64Hex(blob);
 }
 
 namespace {
@@ -600,8 +543,7 @@ checkDisjointness(Pass &p)
 } // namespace
 
 SafetyAnalysis
-analyzeSafety(const Chain &chain, const std::vector<AxisId> &perm,
-              const std::vector<std::int64_t> &tiles,
+analyzeSafety(const Chain &chain, const std::vector<std::int64_t> &tiles,
               const std::vector<AxisConcurrency> &kinds, int workers,
               const std::vector<std::int64_t> &grain,
               const ShapeDomain &domain, const SafetyOptions &options)
@@ -657,8 +599,6 @@ analyzeSafety(const Chain &chain, const std::vector<AxisId> &perm,
     SafetyCertificate &cert = analysis.certificate;
     cert.domain = domain.summary(chain);
     cert.rules = "sb01,sb02,sb03,sb04";
-    cert.digest = safetyDigest(chain, perm, tiles, std::max(1, workers),
-                               pass.grain, cert.domain, cert.rules);
     cert.certified = analysis.violations.empty();
     analysis.totalSeconds = total.seconds();
     return analysis;

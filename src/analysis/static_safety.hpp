@@ -36,10 +36,10 @@
  *    row-coupling rules as analyzeConcurrency).
  *
  * A clean analysis yields a SafetyCertificate that the planner attaches
- * to the winning plan, the v2 plan document serializes as a `safety:`
- * line (policed by PL14), and serve::PlannerGate requires before
- * serving — which is what lets the daemon keep dynamic race checking
- * off the hot path.
+ * to the winning plan (and the plan cache re-derives on every load —
+ * certificates are never serialized), and serve::PlannerGate requires
+ * before serving — which is what lets the daemon keep dynamic race
+ * checking off the hot path.
  *
  * The default domain is "concrete": every axis pinned to its chain
  * extent, matching the dynamic checkers. Widening an axis to [1, max]
@@ -76,9 +76,9 @@ SymRange mulRanges(const SymRange &a, const SymRange &b);
 
 /**
  * Shape domain: per-axis closed extent intervals [lo, hi]. concrete()
- * pins every axis to its chain extent; widen() relaxes one axis to
- * [1, max]. A widened axis must still admit the chain's concrete
- * extent (lo <= extent <= hi) so the plan's own shape is in-domain.
+ * pins every axis to its chain extent; parseShapeDomain relaxes named
+ * axes. A widened axis must still admit the chain's concrete extent
+ * (lo <= extent <= hi) so the plan's own shape is in-domain.
  */
 struct ShapeDomain
 {
@@ -86,10 +86,6 @@ struct ShapeDomain
     std::vector<std::int64_t> hi;
 
     static ShapeDomain concrete(const ir::Chain &chain);
-
-    /** Relaxes @p axisName to [1, maxExtent]; throws on bad input. */
-    void widen(const ir::Chain &chain, const std::string &axisName,
-               std::int64_t maxExtent);
 
     /** True when every axis is pinned to its concrete extent. */
     bool isConcrete(const ir::Chain &chain) const;
@@ -99,9 +95,9 @@ struct ShapeDomain
 };
 
 /**
- * Parses a domain summary produced by ShapeDomain::summary (the
- * `domain=` token of a `safety:` plan-document line). Throws
- * chimera::Error naming @p context on malformed specs or unknown axes.
+ * Parses a domain summary in the ShapeDomain::summary grammar (e.g.
+ * chimera-check's `--domain` widening). Throws chimera::Error naming
+ * @p context on malformed specs or unknown axes.
  */
 ShapeDomain parseShapeDomain(const ir::Chain &chain, const std::string &spec,
                              const std::string &context);
@@ -131,9 +127,8 @@ struct SafetyViolation
 
 /**
  * Shape-generic safety certificate carried by a certified
- * ExecutionPlan and serialized as the v2 `safety:` document line.
- * The digest binds chain signature, schedule (order/tiles/threads/
- * grain), domain and rule set; PL14 polices the binding on load.
+ * ExecutionPlan. In-memory only: it is derived from the plan's
+ * decisions, so every consumer that needs one recomputes it.
  */
 struct SafetyCertificate
 {
@@ -145,9 +140,6 @@ struct SafetyCertificate
 
     /** Comma-joined lower-case rule ids, e.g. "sb01,sb02,sb03,sb04". */
     std::string rules;
-
-    /** fnv1a64Hex over signature + schedule + domain + rules. */
-    std::string digest;
 };
 
 /** Knobs for the analyzer (budget source mirrors the planner). */
@@ -173,7 +165,7 @@ struct SafetyAnalysis
     /** Empty iff the plan certified. */
     std::vector<SafetyViolation> violations;
 
-    /** certified == violations.empty(); always carries domain/digest. */
+    /** certified == violations.empty(); always carries the domain. */
     SafetyCertificate certificate;
 
     /** Wall seconds spent per rule (SB01..SB04), for overhead reports. */
@@ -191,30 +183,14 @@ struct SafetyAnalysis
  * declared per-axis concurrency @p kinds (arity == chain.numAxes();
  * pass ConcurrencyTable::kinds() or a plan's table), @p workers
  * planned threads and per-axis chunk @p grain (empty means grain 1).
- * @p perm is the block execution order (outermost first); it does not
- * influence any of the four properties but is bound into the digest so
- * a certificate cannot be replayed onto a reordered plan.
+ * The block execution order influences none of the four properties.
  */
 SafetyAnalysis analyzeSafety(const ir::Chain &chain,
-                             const std::vector<ir::AxisId> &perm,
                              const std::vector<std::int64_t> &tiles,
                              const std::vector<AxisConcurrency> &kinds,
                              int workers,
                              const std::vector<std::int64_t> &grain,
                              const ShapeDomain &domain,
                              const SafetyOptions &options);
-
-/**
- * The certificate digest: FNV-1a over the chain signature, the
- * schedule (order, tiles, threads, grain) and the domain/rule strings.
- * Recomputed by the PL14 validator; any drift rejects the document.
- */
-std::string safetyDigest(const ir::Chain &chain,
-                         const std::vector<ir::AxisId> &perm,
-                         const std::vector<std::int64_t> &tiles,
-                         int workers,
-                         const std::vector<std::int64_t> &grain,
-                         const std::string &domain,
-                         const std::string &rules);
 
 } // namespace chimera::analysis

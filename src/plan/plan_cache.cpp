@@ -68,29 +68,9 @@ optionsSignature(const PlannerOptions &options)
             out += capBytes;
         }
     }
-    // Static-safety knobs, emitted only when non-default so every
-    // fingerprint minted before the analyzer existed stays valid (old
-    // entries deserialize as uncertified and are re-certified by the
-    // consumers that require a certificate).
-    if (!options.staticSafety) {
-        out += ";sb=0";
-    }
-    if (!options.safetyDomain.empty()) {
-        out += ";sbdom=";
-        for (const auto &[axis, maxExtent] : options.safetyDomain) {
-            out += axis + ":" + std::to_string(maxExtent) + ",";
-        }
-    }
-    // Search pruning: the exact modes (none/symmetry/dominance) pick
-    // the bitwise-identical plan as exhaustive enumeration, so they
-    // deliberately share fingerprints (entries minted under any of
-    // them — including every pre-pruning entry — stay interchangeable).
-    // Beam is inexact: its plan depends on the beam width, so both
-    // enter the key.
-    if (options.prune == analysis::PruneMode::Beam) {
-        out += ";prune=beam;bw=" +
-               std::to_string(std::max(1, options.beamWidth));
-    }
+    // The pruning mode is deliberately absent: exhaustive and symmetry
+    // search pick the bitwise-identical plan, so their entries are
+    // interchangeable.
     auto emitMap =
         [&out](const char *name,
                const std::map<ir::AxisId, std::int64_t> &entries) {
@@ -280,7 +260,6 @@ PlanCache::lookup(const ir::Chain &chain, const PlannerOptions &options)
             cacheMetrics().memoryHits.add();
             span.arg("outcome", std::string("memory-hit"));
             ExecutionPlan plan = it->second;
-            plan.candidatesExamined = 0;
             plan.planSeconds = timer.seconds();
             return plan;
         }
@@ -313,12 +292,14 @@ PlanCache::lookup(const ir::Chain &chain, const PlannerOptions &options)
                     span.arg("outcome", std::string("rejected"));
                     return std::nullopt;
                 }
+                // Certify exactly as the planner does for a fresh plan;
+                // a refuted plan is served uncertified, not rejected.
+                (void)certifyPlan(chain, options, plan);
                 diskHits_.fetch_add(1, std::memory_order_relaxed);
                 cacheMetrics().diskHits.add();
                 span.arg("outcome", std::string("disk-hit"));
                 std::lock_guard<std::mutex> lock(mutex_);
                 memory_[fingerprint] = plan;
-                plan.candidatesExamined = 0;
                 plan.planSeconds = timer.seconds();
                 return plan;
             } catch (const Error &e) {
@@ -345,8 +326,13 @@ PlanCache::store(const ir::Chain &chain, const PlannerOptions &options,
     obs::Span span(obs::trace(), "plan.cache.store", "plan");
     span.arg("fingerprint", fingerprint);
     {
+        // Memoized as a load would return it: the search that produced
+        // the plan is provenance of that planner run, not of the entry.
+        ExecutionPlan entry = plan;
+        entry.search = {};
+        entry.candidatesExamined = 0;
         std::lock_guard<std::mutex> lock(mutex_);
-        memory_[fingerprint] = plan;
+        memory_[fingerprint] = std::move(entry);
     }
     stores_.fetch_add(1, std::memory_order_relaxed);
     cacheMetrics().stores.add();

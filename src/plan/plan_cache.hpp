@@ -24,14 +24,17 @@
  *
  * Cache entries are never trusted: a loaded document goes through the
  * strict deserializer, is validated against the chain, must carry the
- * matching fingerprint, and has its predictions recomputed from the
- * model. The deserialized plan is then audited with the plan verifier
- * (executability of the order, re-derived memory usage against the
- * capacity) — a syntactically perfect document whose schedule is illegal
- * under the *current* options is rejected, not served. Any failure
- * counts as a miss and the chain is silently replanned (the fresh plan
- * then overwrites the bad entry). Disk I/O failures degrade to
- * memory-only operation, never to an error.
+ * matching fingerprint, and has every derived fact (predictions,
+ * concurrency table) recomputed from its decisions. The deserialized
+ * plan is then audited with the plan verifier (executability of the
+ * order, re-derived memory usage against the capacity) — a
+ * syntactically perfect document whose schedule is illegal under the
+ * *current* options is rejected, not served — and certified exactly as
+ * the planner certifies a fresh plan. Any failure counts as a miss and
+ * the chain is silently replanned (the fresh plan then overwrites the
+ * bad entry); an entry in an older document format is such a failure.
+ * Disk I/O failures degrade to memory-only operation, never to an
+ * error.
  */
 
 #include <atomic>
@@ -100,8 +103,10 @@ class PlanCache
 
     /**
      * Returns the cached plan for (@p chain, @p options) or nullopt.
-     * A hit reports candidatesExamined = 0 and planSeconds = the lookup
-     * time, so callers can tell warm plans from cold ones.
+     * Memory and disk hits return the same plan: derived concurrency
+     * table and predictions, a certificate for @p options, empty search
+     * stats, candidatesExamined = 0 and planSeconds = the lookup time,
+     * so callers can tell warm plans from cold ones.
      */
     std::optional<ExecutionPlan> lookup(const ir::Chain &chain,
                                         const PlannerOptions &options);

@@ -20,6 +20,47 @@ lineContext(int lineNumber, const std::string &line)
            line + "\")";
 }
 
+/**
+ * Splits the value of a "tiles:"/"grain:" line into (axis, integer)
+ * pairs. Rejects tokens without an axis or a value, repeated axes and
+ * values that are not full decimal integers; @p what names the line's
+ * kind in the message.
+ */
+std::vector<std::pair<std::string, std::int64_t>>
+parseAxisValues(const std::string &value, const char *what,
+                const std::string &context)
+{
+    std::vector<std::pair<std::string, std::int64_t>> out;
+    std::set<std::string> seenAxes;
+    std::size_t tokenStart = 0;
+    while (tokenStart < value.size()) {
+        tokenStart = value.find_first_not_of(" \t", tokenStart);
+        if (tokenStart == std::string::npos) {
+            break;
+        }
+        std::size_t tokenEnd = value.find_first_of(" \t", tokenStart);
+        if (tokenEnd == std::string::npos) {
+            tokenEnd = value.size();
+        }
+        const std::string token =
+            value.substr(tokenStart, tokenEnd - tokenStart);
+        tokenStart = tokenEnd;
+        const std::size_t eq = token.find('=');
+        if (eq == std::string::npos || eq == 0) {
+            throw Error(context + ": malformed " + what + " token \"" +
+                        token + "\"");
+        }
+        const std::string axisName = token.substr(0, eq);
+        if (!seenAxes.insert(axisName).second) {
+            throw Error(context + ": duplicate " + what + " for axis \"" +
+                        axisName + "\"");
+        }
+        out.emplace_back(axisName,
+                         parseInt64Strict(token.substr(eq + 1), context));
+    }
+    return out;
+}
+
 } // namespace
 
 std::string
@@ -41,16 +82,6 @@ serializePlan(const ir::Chain &chain, const ExecutionPlan &plan,
             << plan.tiles[static_cast<std::size_t>(a)];
     }
     out << "\n";
-    if (static_cast<int>(plan.concurrency.size()) == chain.numAxes()) {
-        out << "concurrency:";
-        for (int a = 0; a < chain.numAxes(); ++a) {
-            out << " " << chain.axes()[static_cast<std::size_t>(a)].name
-                << "="
-                << analysis::concurrencyName(
-                       plan.concurrency[static_cast<std::size_t>(a)]);
-        }
-        out << "\n";
-    }
     bool anyGrain = false;
     for (std::int64_t g : plan.parallelGrain) {
         anyGrain = anyGrain || g > 1;
@@ -75,31 +106,6 @@ serializePlan(const ir::Chain &chain, const ExecutionPlan &plan,
         }
         out << "\n";
     }
-    // Only certified plans carry the line: uncertified documents stay
-    // byte-identical to the pre-safety format.
-    if (plan.safety.certified) {
-        out << "safety: domain=" << plan.safety.domain
-            << " rules=" << plan.safety.rules
-            << " digest=" << plan.safety.digest << "\n";
-    }
-    // Fixed-order and hand-assembled plans carried out no search, so
-    // they stay byte-identical to the pre-search format.
-    if (plan.search.present) {
-        out << "search: mode=" << analysis::pruneModeName(plan.search.mode)
-            << " enumerated=" << plan.search.enumerated
-            << " truncated=" << (plan.search.truncated ? 1 : 0)
-            << " filtered=" << plan.search.filtered
-            << " symmetry=" << plan.search.symmetryPruned
-            << " dominance=" << plan.search.dominancePruned
-            << " beam=" << plan.search.beamPruned
-            << " solved=" << plan.search.solved
-            << " gap=" << plan.search.gapBoundBytes
-            << " digest=" << plan.search.digest << "\n";
-    }
-    out << "volume-bytes: " << static_cast<std::int64_t>(
-                                   plan.predictedVolumeBytes)
-        << "\n";
-    out << "mem-bytes: " << plan.memUsageBytes << "\n";
     return out.str();
 }
 
@@ -163,69 +169,8 @@ parsePlanDocument(const std::string &text)
             doc.order = value;
             doc.haveOrder = true;
         } else if (key == "tiles") {
-            std::set<std::string> seenAxes;
-            std::size_t tokenStart = 0;
-            while (tokenStart < value.size()) {
-                tokenStart = value.find_first_not_of(" \t", tokenStart);
-                if (tokenStart == std::string::npos) {
-                    break;
-                }
-                std::size_t tokenEnd =
-                    value.find_first_of(" \t", tokenStart);
-                if (tokenEnd == std::string::npos) {
-                    tokenEnd = value.size();
-                }
-                const std::string token =
-                    value.substr(tokenStart, tokenEnd - tokenStart);
-                tokenStart = tokenEnd;
-                const std::size_t eq = token.find('=');
-                if (eq == std::string::npos) {
-                    throw Error(context + ": malformed tile token \"" +
-                                token + "\"");
-                }
-                const std::string axisName = token.substr(0, eq);
-                if (!seenAxes.insert(axisName).second) {
-                    throw Error(context + ": duplicate tile for axis \"" +
-                                axisName + "\"");
-                }
-                doc.tiles.emplace_back(
-                    axisName, parseInt64Strict(token.substr(eq + 1),
-                                               context));
-            }
+            doc.tiles = parseAxisValues(value, "tile", context);
             doc.haveTiles = true;
-        } else if (key == "concurrency") {
-            std::set<std::string> seenAxes;
-            std::size_t tokenStart = 0;
-            while (tokenStart < value.size()) {
-                tokenStart = value.find_first_not_of(" \t", tokenStart);
-                if (tokenStart == std::string::npos) {
-                    break;
-                }
-                std::size_t tokenEnd =
-                    value.find_first_of(" \t", tokenStart);
-                if (tokenEnd == std::string::npos) {
-                    tokenEnd = value.size();
-                }
-                const std::string token =
-                    value.substr(tokenStart, tokenEnd - tokenStart);
-                tokenStart = tokenEnd;
-                const std::size_t eq = token.find('=');
-                if (eq == std::string::npos || eq == 0 ||
-                    eq + 1 >= token.size()) {
-                    throw Error(context +
-                                ": malformed concurrency token \"" +
-                                token + "\"");
-                }
-                const std::string axisName = token.substr(0, eq);
-                if (!seenAxes.insert(axisName).second) {
-                    throw Error(context +
-                                ": duplicate concurrency for axis \"" +
-                                axisName + "\"");
-                }
-                doc.concurrency.emplace_back(axisName,
-                                             token.substr(eq + 1));
-            }
-            doc.haveConcurrency = true;
         } else if (key == "threads") {
             doc.threads = parseInt64Strict(value, context);
             if (doc.threads < 1) {
@@ -234,291 +179,20 @@ parsePlanDocument(const std::string &text)
             }
             doc.haveThreads = true;
         } else if (key == "grain") {
-            std::set<std::string> seenAxes;
-            std::size_t tokenStart = 0;
-            while (tokenStart < value.size()) {
-                tokenStart = value.find_first_not_of(" \t", tokenStart);
-                if (tokenStart == std::string::npos) {
-                    break;
-                }
-                std::size_t tokenEnd =
-                    value.find_first_of(" \t", tokenStart);
-                if (tokenEnd == std::string::npos) {
-                    tokenEnd = value.size();
-                }
-                const std::string token =
-                    value.substr(tokenStart, tokenEnd - tokenStart);
-                tokenStart = tokenEnd;
-                const std::size_t eq = token.find('=');
-                if (eq == std::string::npos || eq == 0 ||
-                    eq + 1 >= token.size()) {
-                    throw Error(context + ": malformed grain token \"" +
-                                token + "\"");
-                }
-                const std::string axisName = token.substr(0, eq);
-                if (!seenAxes.insert(axisName).second) {
-                    throw Error(context +
-                                ": duplicate grain for axis \"" +
-                                axisName + "\"");
-                }
-                const std::int64_t g =
-                    parseInt64Strict(token.substr(eq + 1), context);
+            doc.grain = parseAxisValues(value, "grain", context);
+            for (const auto &[axisName, g] : doc.grain) {
                 if (g < 1) {
                     throw Error(context + ": grain for axis \"" +
                                 axisName + "\" must be >= 1, got " +
                                 std::to_string(g));
                 }
-                doc.grain.emplace_back(axisName, g);
             }
             doc.haveGrain = true;
-        } else if (key == "safety") {
-            std::set<std::string> seenFields;
-            std::size_t tokenStart = 0;
-            while (tokenStart < value.size()) {
-                tokenStart = value.find_first_not_of(" \t", tokenStart);
-                if (tokenStart == std::string::npos) {
-                    break;
-                }
-                std::size_t tokenEnd =
-                    value.find_first_of(" \t", tokenStart);
-                if (tokenEnd == std::string::npos) {
-                    tokenEnd = value.size();
-                }
-                const std::string token =
-                    value.substr(tokenStart, tokenEnd - tokenStart);
-                tokenStart = tokenEnd;
-                const std::size_t eq = token.find('=');
-                if (eq == std::string::npos || eq == 0 ||
-                    eq + 1 >= token.size()) {
-                    throw Error(context + ": malformed safety token \"" +
-                                token + "\"");
-                }
-                const std::string field = token.substr(0, eq);
-                if (!seenFields.insert(field).second) {
-                    throw Error(context +
-                                ": duplicate safety field \"" + field +
-                                "\"");
-                }
-                doc.safety.emplace_back(field, token.substr(eq + 1));
-            }
-            doc.haveSafety = true;
-        } else if (key == "search") {
-            std::set<std::string> seenFields;
-            std::size_t tokenStart = 0;
-            while (tokenStart < value.size()) {
-                tokenStart = value.find_first_not_of(" \t", tokenStart);
-                if (tokenStart == std::string::npos) {
-                    break;
-                }
-                std::size_t tokenEnd =
-                    value.find_first_of(" \t", tokenStart);
-                if (tokenEnd == std::string::npos) {
-                    tokenEnd = value.size();
-                }
-                const std::string token =
-                    value.substr(tokenStart, tokenEnd - tokenStart);
-                tokenStart = tokenEnd;
-                const std::size_t eq = token.find('=');
-                if (eq == std::string::npos || eq == 0 ||
-                    eq + 1 >= token.size()) {
-                    throw Error(context + ": malformed search token \"" +
-                                token + "\"");
-                }
-                const std::string field = token.substr(0, eq);
-                if (!seenFields.insert(field).second) {
-                    throw Error(context +
-                                ": duplicate search field \"" + field +
-                                "\"");
-                }
-                doc.search.emplace_back(field, token.substr(eq + 1));
-            }
-            doc.haveSearch = true;
-        } else if (key == "volume-bytes") {
-            doc.declaredVolumeBytes = parseDoubleStrict(value, context);
-            doc.haveVolume = true;
-        } else if (key == "mem-bytes") {
-            doc.declaredMemBytes = parseInt64Strict(value, context);
-            doc.haveMem = true;
         } else {
             throw Error(context + ": unknown plan key \"" + key + "\"");
         }
     }
     return doc;
-}
-
-std::vector<analysis::AxisConcurrency>
-bindConcurrency(
-    const ir::Chain &chain,
-    const std::vector<std::pair<std::string, std::string>> &entries)
-{
-    std::vector<analysis::AxisConcurrency> kinds(
-        static_cast<std::size_t>(chain.numAxes()),
-        analysis::AxisConcurrency::Sequential);
-    std::vector<bool> bound(static_cast<std::size_t>(chain.numAxes()),
-                            false);
-    for (const auto &[axisName, kindName] : entries) {
-        ir::AxisId axis = -1;
-        try {
-            axis = ir::axisIdByName(chain, axisName);
-        } catch (const Error &) {
-            throw Error("plan concurrency declares axis \"" + axisName +
-                        "\" which chain " + chain.name() +
-                        " does not have");
-        }
-        const std::size_t slot = static_cast<std::size_t>(axis);
-        if (bound[slot]) {
-            throw Error("plan concurrency declares axis \"" + axisName +
-                        "\" more than once");
-        }
-        bound[slot] = true;
-        kinds[slot] = analysis::concurrencyFromName(
-            kindName, "plan concurrency for axis \"" + axisName + "\"");
-    }
-    for (int a = 0; a < chain.numAxes(); ++a) {
-        if (!bound[static_cast<std::size_t>(a)]) {
-            throw Error(
-                "plan concurrency is incomplete: axis \"" +
-                chain.axes()[static_cast<std::size_t>(a)].name +
-                "\" has no declared class");
-        }
-    }
-    return kinds;
-}
-
-analysis::SafetyCertificate
-bindSafety(const ir::Chain &chain,
-           const std::vector<std::pair<std::string, std::string>> &entries)
-{
-    analysis::SafetyCertificate cert;
-    bool haveDomain = false;
-    bool haveRules = false;
-    bool haveDigest = false;
-    for (const auto &[field, value] : entries) {
-        if (field == "domain") {
-            cert.domain = value;
-            haveDomain = true;
-        } else if (field == "rules") {
-            cert.rules = value;
-            haveRules = true;
-        } else if (field == "digest") {
-            cert.digest = value;
-            haveDigest = true;
-        } else {
-            throw Error("plan safety line has unknown field \"" + field +
-                        "\"");
-        }
-    }
-    if (!haveDomain || !haveRules || !haveDigest) {
-        throw Error(
-            "plan safety line must carry domain=, rules= and digest=");
-    }
-    // Validates the domain grammar and that it names only chain axes
-    // (and admits each concrete extent); the result is discarded — the
-    // certificate keeps the canonical string form.
-    (void)analysis::parseShapeDomain(chain, cert.domain,
-                                     "plan safety domain");
-    std::size_t pos = 0;
-    std::set<std::string> seenRules;
-    while (pos <= cert.rules.size()) {
-        const std::size_t comma = cert.rules.find(',', pos);
-        const std::string rule = cert.rules.substr(
-            pos,
-            comma == std::string::npos ? std::string::npos : comma - pos);
-        if (rule != "sb01" && rule != "sb02" && rule != "sb03" &&
-            rule != "sb04") {
-            throw Error("plan safety line claims unknown rule \"" + rule +
-                        "\"");
-        }
-        if (!seenRules.insert(rule).second) {
-            throw Error("plan safety line claims rule \"" + rule +
-                        "\" more than once");
-        }
-        if (comma == std::string::npos) {
-            break;
-        }
-        pos = comma + 1;
-    }
-    if (cert.digest.size() != 16 ||
-        cert.digest.find_first_not_of("0123456789abcdef") !=
-            std::string::npos) {
-        throw Error("plan safety digest \"" + cert.digest +
-                    "\" is not 16 lowercase hex digits");
-    }
-    cert.certified = true;
-    return cert;
-}
-
-analysis::SearchStats
-bindSearch(const std::vector<std::pair<std::string, std::string>> &entries)
-{
-    analysis::SearchStats stats;
-    std::set<std::string> bound;
-    const auto counter = [&](const std::string &field,
-                             const std::string &value) {
-        const std::int64_t n = parseInt64Strict(
-            value, "plan search field \"" + field + "\"");
-        if (n < 0) {
-            throw Error("plan search field \"" + field +
-                        "\" must be >= 0, got " + std::to_string(n));
-        }
-        return n;
-    };
-    for (const auto &[field, value] : entries) {
-        if (!bound.insert(field).second) {
-            throw Error("plan search line repeats field \"" + field +
-                        "\"");
-        }
-        if (field == "mode") {
-            const std::optional<analysis::PruneMode> mode =
-                analysis::parsePruneMode(value);
-            if (!mode) {
-                throw Error("plan search line has unknown mode \"" +
-                            value + "\"");
-            }
-            stats.mode = *mode;
-        } else if (field == "enumerated") {
-            stats.enumerated = counter(field, value);
-        } else if (field == "truncated") {
-            if (value != "0" && value != "1") {
-                throw Error("plan search truncated must be 0 or 1, got \"" +
-                            value + "\"");
-            }
-            stats.truncated = value == "1";
-        } else if (field == "filtered") {
-            stats.filtered = counter(field, value);
-        } else if (field == "symmetry") {
-            stats.symmetryPruned = counter(field, value);
-        } else if (field == "dominance") {
-            stats.dominancePruned = counter(field, value);
-        } else if (field == "beam") {
-            stats.beamPruned = counter(field, value);
-        } else if (field == "solved") {
-            stats.solved = counter(field, value);
-        } else if (field == "gap") {
-            stats.gapBoundBytes = counter(field, value);
-        } else if (field == "digest") {
-            stats.digest = value;
-        } else {
-            throw Error("plan search line has unknown field \"" + field +
-                        "\"");
-        }
-    }
-    for (const char *required :
-         {"mode", "enumerated", "truncated", "filtered", "symmetry",
-          "dominance", "beam", "solved", "gap", "digest"}) {
-        if (bound.count(required) == 0) {
-            throw Error(std::string("plan search line is missing ") +
-                        required + "=");
-        }
-    }
-    if (stats.digest.size() != 16 ||
-        stats.digest.find_first_not_of("0123456789abcdef") !=
-            std::string::npos) {
-        throw Error("plan search digest \"" + stats.digest +
-                    "\" is not 16 lowercase hex digits");
-    }
-    stats.present = true;
-    return stats;
 }
 
 ExecutionPlan
@@ -545,10 +219,6 @@ deserializePlan(const ir::Chain &chain, const std::string &text,
     }
     model::validatePermutation(chain, plan.perm);
     model::validateTiles(chain, plan.tiles);
-    plan.concurrency =
-        doc.haveConcurrency
-            ? bindConcurrency(chain, doc.concurrency)
-            : analysis::analyzeConcurrency(chain, plan.tiles).kinds();
 
     // Thread-aware chunking lines: a grain only makes sense relative to
     // the worker count it was solved for.
@@ -571,14 +241,9 @@ deserializePlan(const ir::Chain &chain, const std::string &text,
         }
     }
 
-    if (doc.haveSafety) {
-        plan.safety = bindSafety(chain, doc.safety);
-    }
-    if (doc.haveSearch) {
-        plan.search = bindSearch(doc.search);
-    }
-
-    // Recompute the predictions so a stale document cannot lie.
+    // Derived facts: recomputed from the decisions, never read.
+    plan.concurrency =
+        analysis::analyzeConcurrency(chain, plan.tiles).kinds();
     const model::DataMovement dm =
         model::computeDataMovement(chain, plan.perm, plan.tiles);
     plan.predictedVolumeBytes = dm.volumeBytes;

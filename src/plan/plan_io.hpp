@@ -5,21 +5,21 @@
  * Plan serialization: a stable, human-readable text format so planned
  * schedules can be cached across runs (planning is cheap but kernels
  * may be planned once and deployed many times) and inspected in code
- * review. Current format:
+ * review. A document holds the schedule's *decisions* only:
  *
  *     chimera-plan v2
  *     fingerprint: 1f0c64d2a9b3e781
  *     chain: <name>
  *     order: m,l,k,n
  *     tiles: m=128 l=64 k=64 n=64
- *     concurrency: m=parallel l=reduction k=reduction n=parallel
  *     threads: 8
  *     grain: m=2
- *     safety: domain=concrete rules=sb01,sb02,sb03,sb04 digest=9ab1..
- *     search: mode=dominance enumerated=24 truncated=0 filtered=10
- *             symmetry=8 dominance=2 beam=0 solved=4 gap=0 digest=77c2..
- *     volume-bytes: 6291456
- *     mem-bytes: 393216
+ *
+ * Everything derived from those decisions — the DV/MU predictions, the
+ * per-axis concurrency table, the SB01-SB04 safety certificate — is
+ * recomputed on load and never stored, so a document cannot disagree
+ * with itself. The order search's statistics are provenance of one
+ * planner run and are not stored either.
  *
  * The threads/grain lines carry the thread-aware chunking: the worker
  * count the plan was solved for and the blocks-per-dispatch-chunk grain
@@ -29,38 +29,6 @@
  * >= 1 and grain values must be >= 1 on axes the chain has; a "grain:"
  * line without "threads:" is rejected.
  *
- * The concurrency line declares the per-axis concurrency class the
- * executors obey (see analysis/dependence.hpp). It is optional — a
- * document without one gets a fresh dependence analysis on load — but
- * when present it must cover every chain axis exactly once with a
- * known kind, and axes the chain does not have are rejected outright.
- * Whether the declared classes *agree* with a fresh analysis is the
- * verifier's job (DP rules), not the deserializer's: chimera-check
- * needs mis-declared documents to load so its dynamic race checker can
- * demonstrate the conflict.
- *
- * The safety line carries the static-safety certificate (SB01-SB04,
- * see analysis/static_safety.hpp): the shape domain the plan was
- * certified for, the proven rule set, and a digest binding the
- * certificate to the chain signature and the full schedule. It is
- * emitted only for certified plans (uncertified documents stay
- * byte-identical to the pre-safety format) and policed on load:
- * malformed lines are rejected by the deserializer, while rule PL14
- * re-derives the digest and re-runs the analyzer so a certificate can
- * neither be forged nor replayed onto a different schedule.
- *
- * The search line (one physical line; wrapped above for width)
- * discloses where the planner's candidate orders went (enumerated /
- * filtered / symmetry-pruned / dominance-pruned / beam-pruned /
- * solved), whether maxPermutations truncated the enumeration, the
- * pruning mode, beam mode's certified optimality-gap bound, and a
- * digest binding all of it to the chain and schedule (see
- * analysis/order_equivalence.hpp). It is emitted only for planned
- * plans (fixed-order and hand-assembled plans have no search) and
- * policed on load: malformed lines are rejected by the deserializer,
- * while rule PL15 checks the counts' consistency and re-derives the
- * digest so the claims can neither be forged nor replayed.
- *
  * The fingerprint line is optional in hand-written documents and
  * mandatory for plan-cache entries: it hashes the chain structure plus
  * the planner options that produced the plan (see plan_cache.hpp), so a
@@ -69,12 +37,14 @@
  *
  * Deserialization is strict: every numeric field must parse as a full
  * token (trailing garbage such as "m=64abc" is rejected, not truncated),
- * duplicate keys and duplicate tile axes are rejected, and every failure
- * is reported as chimera::Error naming the offending line — malformed
- * input never escapes as a raw std:: exception. The parsed plan is then
- * validated against the chain it is applied to (axis names, tile ranges,
- * permutation completeness) and its predictions are recomputed, so a
- * stale or tampered document cannot lie.
+ * unknown keys, duplicate keys and duplicate axes are rejected, and
+ * every failure is reported as chimera::Error naming the offending line
+ * — malformed input never escapes as a raw std:: exception. A cache
+ * entry written by an older format (e.g. one carrying a `concurrency:`,
+ * `safety:`, `search:`, `volume-bytes:` or `mem-bytes:` line) is
+ * therefore unreadable and gets replanned. The parsed plan is then
+ * validated against the chain it is applied to (axis names, tile
+ * ranges, permutation completeness).
  */
 
 #include <cstdint>
@@ -89,9 +59,9 @@ namespace chimera::plan {
 /**
  * Raw fields of a plan document after the syntax pass, before binding
  * to a chain. parsePlanDocument fills this; deserializePlan binds it
- * (axis lookup, permutation/tile validation, prediction recompute) and
- * verify::verifyPlanDocument audits it without throwing so chimera-check
- * can report every defect of an adversarial document.
+ * (axis lookup, permutation/tile validation, derived-fact recompute)
+ * and verify::verifyPlanDocument audits it without throwing so
+ * chimera-check can report every defect of an adversarial document.
  */
 struct ParsedPlanDoc
 {
@@ -110,98 +80,27 @@ struct ParsedPlanDoc
     /** (axis name, tile size) pairs from the "tiles:" line, in order. */
     std::vector<std::pair<std::string, std::int64_t>> tiles;
 
-    /**
-     * (axis name, kind name) pairs from the "concurrency:" line, in
-     * order. Kind names are validated at binding time (PL12/DP01), not
-     * here, so the verifier can report instead of throwing.
-     */
-    std::vector<std::pair<std::string, std::string>> concurrency;
-
     /** Value of the "threads:" line (>= 1 enforced at parse time). */
     std::int64_t threads = 1;
 
     /** (axis name, grain) pairs from the "grain:" line, in order. */
     std::vector<std::pair<std::string, std::int64_t>> grain;
 
-    /**
-     * (key, value) pairs from the "safety:" line, in order (expected
-     * keys: domain, rules, digest). Token grammar is enforced at parse
-     * time; semantic binding (exactly those keys, valid domain/rule
-     * ids, digest shape) is bindSafety's job so the verifier can
-     * report PL14 instead of throwing.
-     */
-    std::vector<std::pair<std::string, std::string>> safety;
-
-    /**
-     * (key, value) pairs from the "search:" line, in order (expected
-     * keys: mode, enumerated, truncated, filtered, symmetry, dominance,
-     * beam, solved, gap, digest). Token grammar is enforced at parse
-     * time; semantic binding is bindSearch's job so the verifier can
-     * report PL15 instead of throwing.
-     */
-    std::vector<std::pair<std::string, std::string>> search;
-
-    double declaredVolumeBytes = 0.0;
-    std::int64_t declaredMemBytes = 0;
-
     bool haveOrder = false;
     bool haveTiles = false;
-    bool haveConcurrency = false;
     bool haveThreads = false;
     bool haveGrain = false;
-    bool haveSafety = false;
-    bool haveSearch = false;
-    bool haveVolume = false;
-    bool haveMem = false;
 };
 
 /**
  * Syntax pass: parses a v1/v2 document into its raw fields without any
  * chain in hand. Throws chimera::Error — naming the offending line — on
- * malformed input (bad header, keyless lines, duplicate keys or tile
- * axes, non-numeric values); axis names and value ranges are *not*
- * checked here, that is the binding/verification layer's job.
+ * malformed input (bad header, keyless lines, unknown or duplicate keys,
+ * duplicate tile/grain axes, non-numeric values); axis names and value
+ * ranges are *not* checked here, that is the binding/verification
+ * layer's job.
  */
 ParsedPlanDoc parsePlanDocument(const std::string &text);
-
-/**
- * Binds a parsed "concurrency:" declaration to @p chain: resolves axis
- * names, parses kind tokens, and rejects unknown axes, unknown kinds,
- * duplicates, and incomplete coverage (every chain axis must appear
- * exactly once). Throws chimera::Error naming the defect; the verifier
- * catches it and reports rule PL12 instead. Returns the per-AxisId
- * kinds.
- */
-std::vector<analysis::AxisConcurrency> bindConcurrency(
-    const ir::Chain &chain,
-    const std::vector<std::pair<std::string, std::string>> &entries);
-
-/**
- * Binds a parsed "safety:" declaration to @p chain: requires exactly
- * the domain/rules/digest keys (each once), a well-formed shape domain
- * naming only chain axes, known lower-case sb rule ids, and a 16-hex
- * digest. Throws chimera::Error naming the defect; deserializePlan
- * lets it propagate (cache entries replan) and the verifier reports
- * rule PL14 instead. Returns the certificate with certified = true;
- * whether the digest *value* matches the bound schedule needs the
- * chain + schedule in hand and is the PL14 validator's job.
- */
-analysis::SafetyCertificate bindSafety(
-    const ir::Chain &chain,
-    const std::vector<std::pair<std::string, std::string>> &entries);
-
-/**
- * Binds a parsed "search:" declaration: requires exactly the
- * mode/enumerated/truncated/filtered/symmetry/dominance/beam/solved/
- * gap/digest keys (each once), a known mode name, truncated in {0, 1},
- * non-negative counts, and a 16-hex digest. Throws chimera::Error
- * naming the defect; deserializePlan lets it propagate (cache entries
- * replan) and the verifier reports rule PL15 instead. Whether the
- * counts are *consistent* and the digest matches the bound schedule is
- * verify::verifySearchStats's job.
- */
-analysis::SearchStats bindSearch(
-    const std::vector<std::pair<std::string, std::string>> &entries);
 
 /**
  * Serializes @p plan for @p chain into the v2 text format. A non-empty
@@ -213,6 +112,10 @@ std::string serializePlan(const ir::Chain &chain, const ExecutionPlan &plan,
 
 /**
  * Parses a v1 or v2 plan document and validates it against @p chain.
+ * The returned plan carries the decisions plus a freshly derived
+ * concurrency table and DV/MU predictions; it is uncertified (the
+ * certificate depends on the planner options, see plan::certifyPlan)
+ * and has empty search stats.
  *
  * When @p expectedFingerprint is non-empty the document must carry a
  * matching "fingerprint:" line; a missing or different value throws

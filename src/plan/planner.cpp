@@ -114,16 +114,13 @@ certifyPlan(const Chain &chain, const PlannerOptions &options,
             ExecutionPlan &plan)
 {
     obs::Span span(obs::trace(), "plan.certify", "plan");
-    analysis::ShapeDomain domain = analysis::ShapeDomain::concrete(chain);
-    for (const auto &[axis, maxExtent] : options.safetyDomain) {
-        domain.widen(chain, axis, maxExtent);
-    }
     analysis::SafetyOptions so;
     so.memCapacityBytes = options.memCapacityBytes;
     so.topology = options.topology;
     const analysis::SafetyAnalysis sa = analysis::analyzeSafety(
-        chain, plan.perm, plan.tiles, effectiveConcurrency(chain, plan),
-        plan.plannedThreads, plan.parallelGrain, domain, so);
+        chain, plan.tiles, effectiveConcurrency(chain, plan),
+        plan.plannedThreads, plan.parallelGrain,
+        analysis::ShapeDomain::concrete(chain), so);
     plan.safety = sa.certificate;
     span.arg("chain", chain.name())
         .arg("certified", sa.certificate.certified ? 1 : 0);
@@ -468,14 +465,40 @@ planChainUncached(const Chain &chain, const PlannerOptions &options)
         enumerateCandidateOrders(chain, options, &truncated);
 
     analysis::SearchStats stats;
-    stats.present = true;
-    stats.mode = options.prune;
     stats.enumerated = static_cast<std::int64_t>(candidates.size());
     stats.truncated = truncated;
 
-    analysis::OrderAnalyzer analyzer(chain, constraints,
-                                     solverOptions.memCapacityBytes,
-                                     options.model);
+    // Serial pre-pass per candidate: symmetry-class membership, then the
+    // executability filter. Only the survivors reach the tile solver.
+    const analysis::OrderAnalyzer analyzer(chain, constraints);
+    std::unordered_set<std::string> seenKeys;
+    const bool useSymmetry = options.prune == analysis::PruneMode::Symmetry;
+    std::vector<std::size_t> survivors;
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+        const std::vector<AxisId> &perm = candidates[i];
+        if (useSymmetry &&
+            !seenKeys.insert(analyzer.symmetryKey(perm)).second) {
+            ++stats.symmetryPruned;
+        } else if (options.onlyExecutableOrders &&
+                   !model::isExecutableOrder(chain, perm, filterTiles)) {
+            ++stats.filtered;
+        } else {
+            survivors.push_back(i);
+        }
+    }
+    stats.solved = static_cast<std::int64_t>(survivors.size());
+
+    std::vector<solver::TileSolution> outcomes(survivors.size());
+    parallelFor(poolForThreads(options.threads), 0,
+                static_cast<std::int64_t>(survivors.size()),
+                [&](std::int64_t j, int) {
+                    outcomes[static_cast<std::size_t>(j)] =
+                        solver::solveTiles(
+                            chain,
+                            candidates[survivors[static_cast<std::size_t>(
+                                j)]],
+                            constraints, solverOptions);
+                });
 
     // Deterministic argmin: candidates are always reduced in
     // enumeration order with the exact serial better-than predicate,
@@ -483,13 +506,13 @@ planChainUncached(const Chain &chain, const PlannerOptions &options)
     // permutation at every thread count. Volumes are exact integers in
     // doubles, so the predicate is a true lexicographic
     // (volume, memUsage, enumeration index) order — which is also what
-    // makes symmetry and dominance pruning exact (DESIGN.md).
+    // makes symmetry pruning exact (DESIGN.md).
     ExecutionPlan best;
     bool haveBest = false;
-    const auto consider = [&](std::size_t i,
-                              const solver::TileSolution &sol) {
+    for (std::size_t j = 0; j < survivors.size(); ++j) {
+        const solver::TileSolution &sol = outcomes[j];
         if (!sol.feasible) {
-            return;
+            continue;
         }
         const bool better =
             !haveBest ||
@@ -497,131 +520,11 @@ planChainUncached(const Chain &chain, const PlannerOptions &options)
             (sol.volumeBytes < best.predictedVolumeBytes + 0.5 &&
              sol.memUsageBytes < best.memUsageBytes);
         if (better) {
-            best.perm = candidates[i];
+            best.perm = candidates[survivors[j]];
             best.tiles = sol.tiles;
             best.predictedVolumeBytes = sol.volumeBytes;
             best.memUsageBytes = sol.memUsageBytes;
             haveBest = true;
-        }
-    };
-    ThreadPool *pool = poolForThreads(options.threads);
-    const auto solveBatch = [&](const std::vector<std::size_t> &batch) {
-        std::vector<solver::TileSolution> outcomes(batch.size());
-        parallelFor(pool, 0, static_cast<std::int64_t>(batch.size()),
-                    [&](std::int64_t j, int) {
-                        outcomes[static_cast<std::size_t>(j)] =
-                            solver::solveTiles(
-                                chain,
-                                candidates[batch[static_cast<
-                                    std::size_t>(j)]],
-                                constraints, solverOptions);
-                    });
-        stats.solved += static_cast<std::int64_t>(batch.size());
-        for (std::size_t j = 0; j < batch.size(); ++j) {
-            consider(batch[j], outcomes[j]);
-        }
-    };
-
-    std::unordered_set<std::string> seenKeys;
-    const bool useSymmetry = options.prune != analysis::PruneMode::None;
-    // Serial pre-pass per candidate: symmetry-class membership, then
-    // the executability filter, then (dominance only) the lower bound
-    // against the best volume achieved so far.
-    const auto survives = [&](std::size_t i, bool useDominance) {
-        const std::vector<AxisId> &perm = candidates[i];
-        if (useSymmetry &&
-            !seenKeys.insert(analyzer.symmetryKey(perm)).second) {
-            ++stats.symmetryPruned;
-            return false;
-        }
-        if (options.onlyExecutableOrders &&
-            !model::isExecutableOrder(chain, perm, filterTiles)) {
-            ++stats.filtered;
-            return false;
-        }
-        if (useDominance && haveBest &&
-            analyzer.lowerBoundIncremental(perm) >
-                best.predictedVolumeBytes + 0.5) {
-            ++stats.dominancePruned;
-            return false;
-        }
-        return true;
-    };
-
-    if (options.prune == analysis::PruneMode::Beam) {
-        // One serial pass collects the survivors and their bounds,
-        // then only the beamWidth best-bound orders are solved. The
-        // minimum bound over the unsolved tail certifies the
-        // optimality gap.
-        std::vector<std::size_t> survivors;
-        std::vector<double> bounds;
-        for (std::size_t i = 0; i < candidates.size(); ++i) {
-            if (!survives(i, /*useDominance=*/false)) {
-                continue;
-            }
-            survivors.push_back(i);
-            bounds.push_back(
-                analyzer.lowerBoundIncremental(candidates[i]));
-        }
-        std::vector<std::size_t> ranked(survivors.size());
-        for (std::size_t k = 0; k < ranked.size(); ++k) {
-            ranked[k] = k;
-        }
-        std::stable_sort(ranked.begin(), ranked.end(),
-                         [&](std::size_t a, std::size_t b) {
-                             return bounds[a] < bounds[b];
-                         });
-        const std::size_t width = std::min(
-            ranked.size(),
-            static_cast<std::size_t>(std::max(1, options.beamWidth)));
-        std::vector<std::size_t> chosen;
-        for (std::size_t k = 0; k < width; ++k) {
-            chosen.push_back(survivors[ranked[k]]);
-        }
-        std::sort(chosen.begin(), chosen.end());
-        solveBatch(chosen);
-        std::size_t solvedUpTo = width;
-        if (!haveBest && width < ranked.size()) {
-            // The beam held only infeasible orders: widen to the full
-            // survivor set rather than failing a plannable chain.
-            std::vector<std::size_t> rest;
-            for (std::size_t k = width; k < ranked.size(); ++k) {
-                rest.push_back(survivors[ranked[k]]);
-            }
-            std::sort(rest.begin(), rest.end());
-            solveBatch(rest);
-            solvedUpTo = ranked.size();
-        }
-        stats.beamPruned =
-            static_cast<std::int64_t>(ranked.size() - solvedUpTo);
-        if (haveBest && solvedUpTo < ranked.size()) {
-            double minUnsolved = bounds[ranked[solvedUpTo]];
-            for (std::size_t k = solvedUpTo; k < ranked.size(); ++k) {
-                minUnsolved = std::min(minUnsolved, bounds[ranked[k]]);
-            }
-            stats.gapBoundBytes =
-                static_cast<std::int64_t>(std::max(
-                    0.0, best.predictedVolumeBytes - minUnsolved));
-        }
-    } else {
-        // Fixed-size batches, independent of the thread count: the
-        // pre-pass of batch B sees exactly the solutions of batches
-        // < B, so every pruning decision (and every count) is
-        // identical at 1, 2 or 8 search threads.
-        constexpr std::size_t kBatch = 64;
-        const bool useDominance =
-            options.prune == analysis::PruneMode::Dominance;
-        std::vector<std::size_t> batch;
-        for (std::size_t lo = 0; lo < candidates.size(); lo += kBatch) {
-            const std::size_t hi =
-                std::min(candidates.size(), lo + kBatch);
-            batch.clear();
-            for (std::size_t i = lo; i < hi; ++i) {
-                if (survives(i, useDominance)) {
-                    batch.push_back(i);
-                }
-            }
-            solveBatch(batch);
         }
     }
     CHIMERA_CHECK(haveBest,
@@ -632,9 +535,6 @@ planChainUncached(const Chain &chain, const PlannerOptions &options)
         .arg("solved", static_cast<int>(stats.solved))
         .arg("filtered", static_cast<int>(stats.filtered))
         .arg("symmetry_pruned", static_cast<int>(stats.symmetryPruned))
-        .arg("dominance_pruned",
-             static_cast<int>(stats.dominancePruned))
-        .arg("beam_pruned", static_cast<int>(stats.beamPruned))
         .arg("enumerated", static_cast<int>(stats.enumerated))
         .arg("truncated", stats.truncated ? 1 : 0)
         .arg("dv_bytes", best.predictedVolumeBytes)
@@ -644,24 +544,14 @@ planChainUncached(const Chain &chain, const PlannerOptions &options)
         analysis::analyzeConcurrency(chain, best.tiles).kinds();
     applyThreadChunking(chain, best, options, constraints, solverOptions,
                         /*allowRefinement=*/true);
-    if (options.staticSafety) {
-        // Certification failures do not fail planning: the plan is
-        // returned without a certificate (and without a `safety:`
-        // document line); gates that require one re-check downstream.
-        const analysis::SafetyAnalysis sa =
-            certifyPlan(chain, options, best);
-        if (!sa.certificate.certified) {
-            CHIMERA_DEBUG("static safety refuted for "
-                          << chain.name() << ": "
-                          << sa.renderViolations());
-        }
+    // Certification failures do not fail planning: the plan is returned
+    // uncertified, and gates that require a certificate refuse it.
+    const analysis::SafetyAnalysis sa = certifyPlan(chain, options, best);
+    if (!sa.certificate.certified) {
+        CHIMERA_DEBUG("static safety refuted for "
+                      << chain.name() << ": " << sa.renderViolations());
     }
-    // The digest binds the *final* schedule (after chunking refinement
-    // may have re-solved the tiles), so PL15 can tie the search claims
-    // to exactly the plan that is served.
     best.search = stats;
-    best.search.digest =
-        analysis::searchDigest(chain, best.perm, best.tiles, best.search);
     best.planSeconds = timer.seconds();
     CHIMERA_DEBUG("planned "
                   << chain.name() << ": order "
@@ -669,9 +559,7 @@ planChainUncached(const Chain &chain, const PlannerOptions &options)
                   << best.predictedVolumeBytes << "B (" << stats.solved
                   << " solved, " << stats.filtered
                   << " filtered as non-executable, "
-                  << stats.symmetryPruned << " symmetry-pruned, "
-                  << stats.dominancePruned << " dominance-pruned, "
-                  << stats.beamPruned << " beam-pruned of "
+                  << stats.symmetryPruned << " symmetry-pruned of "
                   << stats.enumerated << " enumerated"
                   << (stats.truncated ? ", truncated" : "") << ")");
     if (options.verify) {
@@ -694,9 +582,8 @@ enumerateCandidateOrders(const Chain &chain, const PlannerOptions &options,
          allPermutations(static_cast<int>(reorderable.size()))) {
         if (static_cast<int>(candidates.size()) >=
             options.maxPermutations) {
-            // No longer silent: the searchTruncated flag travels with
-            // the plan (and its `search:` document line), so cached
-            // consumers can see the search was not exhaustive.
+            // No longer silent: the truncated flag travels with the
+            // fresh plan's search stats and its `plan.search` span.
             CHIMERA_WARN("permutation cap reached for chain "
                          << chain.name());
             capped = true;
@@ -803,9 +690,7 @@ planFixedOrder(const Chain &chain, const std::vector<AxisId> &perm,
     // refinement (the planner's edge in the scaling comparison).
     applyThreadChunking(chain, plan, options, constraints, solverOptions,
                         /*allowRefinement=*/false);
-    if (options.staticSafety) {
-        (void)certifyPlan(chain, options, plan);
-    }
+    (void)certifyPlan(chain, options, plan);
     plan.planSeconds = timer.seconds();
     if (options.verify) {
         // Baselines pin deliberately non-executable orders; only the

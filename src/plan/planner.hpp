@@ -13,7 +13,6 @@
  * tiles to nest inside outer-level tiles.
  */
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -38,12 +37,12 @@ struct ExecutionPlan
     std::vector<std::int64_t> tiles;
 
     /**
-     * Concurrency class per axis (indexed by AxisId), derived by the
-     * dependence analysis when the plan is made and serialized in the
-     * v2 plan document. The executors consult this table — not their
-     * own judgment — to pick the block loops they distribute across
-     * workers. Empty on hand-assembled plans; executors then analyze
-     * fresh (see effectiveConcurrency).
+     * Concurrency class per axis (indexed by AxisId): an in-memory memo
+     * of the dependence analysis of (chain, tiles), filled when the
+     * plan is made or loaded and never serialized. The executors
+     * consult this table — not their own judgment — to pick the block
+     * loops they distribute across workers. Empty on hand-assembled
+     * plans; executors then analyze fresh (see effectiveConcurrency).
      */
     std::vector<analysis::AxisConcurrency> concurrency;
 
@@ -67,21 +66,20 @@ struct ExecutionPlan
     std::vector<std::int64_t> parallelGrain;
 
     /**
-     * Static-safety certificate (SB01-SB04) attached by the planner
-     * when PlannerOptions::staticSafety proves the schedule safe over
-     * the configured shape domain. Serialized as the v2 `safety:`
-     * document line when certified; default-constructed (uncertified)
-     * on hand-assembled plans and documents without the line.
+     * Static-safety certificate (SB01-SB04) over the concrete shape,
+     * attached by certifyPlan: the planner certifies every plan it
+     * makes and the plan cache re-certifies every plan it loads. Never
+     * serialized; default-constructed (uncertified) on hand-assembled
+     * and freshly deserialized plans.
      */
     analysis::SafetyCertificate safety;
 
     /**
      * Where the order search's candidates went (enumerated / filtered /
-     * symmetry-pruned / dominance-pruned / beam-pruned / solved),
-     * whether maxPermutations truncated the enumeration, and beam
-     * mode's certified optimality-gap bound. Serialized as the v2
-     * `search:` document line and policed by PL15; absent
-     * (present == false) on fixed-order and hand-assembled plans.
+     * symmetry-pruned / solved) and whether maxPermutations truncated
+     * the enumeration. Provenance only: recorded as `plan.search` span
+     * args, never serialized, and empty on cached, fixed-order and
+     * hand-assembled plans.
      */
     analysis::SearchStats search;
 
@@ -127,21 +125,12 @@ struct PlannerOptions
     bool onlyExecutableOrders = true;
 
     /**
-     * Search pruning (analysis/order_equivalence.hpp). None, Symmetry
-     * and Dominance are *exact* — the chosen plan is bitwise identical
-     * to exhaustive enumeration, so they are excluded from the cache
-     * key (fingerprints minted under any of them are interchangeable).
-     * Beam is inexact: it solves only the beamWidth best-lower-bound
-     * orders, records a certified optimality-gap bound in the plan's
-     * search stats, and enters the fingerprint/cache key.
+     * Search pruning (analysis/order_equivalence.hpp). Symmetry is
+     * *exact* — the chosen plan is bitwise identical to exhaustive
+     * enumeration (None, the reference the search replay compares
+     * against) — so the mode is excluded from the cache key.
      */
-    analysis::PruneMode prune = analysis::PruneMode::Dominance;
-
-    /**
-     * Orders the tile solver actually evaluates under PruneMode::Beam
-     * (after exact symmetry merging). Ignored by the other modes.
-     */
-    int beamWidth = 8;
+    analysis::PruneMode prune = analysis::PruneMode::Symmetry;
 
     /**
      * Threads for the (permutation -> tile solve) candidate loop:
@@ -184,26 +173,6 @@ struct PlannerOptions
      * worker count (or at least this many chunks per worker).
      */
     int chunksPerWorker = 4;
-
-    /**
-     * Run the static safety analyzer (SB01-SB04) on every winning plan
-     * and attach the resulting certificate. On by default: the pass
-     * costs well under 1% of cold planning time (fig5 reports the
-     * ratio) and uncertified plans simply carry no `safety:` line —
-     * violations never fail planning. Part of the cache key only when
-     * disabled.
-     */
-    bool staticSafety = true;
-
-    /**
-     * Shape-domain widening for the certificate: axis name -> maximum
-     * extent. Each named axis is certified for extents [1, max]
-     * instead of its concrete extent only (e.g. {"b", 4096} certifies
-     * every batch size the serve batcher may derive). Empty (default)
-     * certifies the concrete shape. Part of the cache key when
-     * non-empty.
-     */
-    std::map<std::string, std::int64_t> safetyDomain;
 
     /**
      * Optional plan cache consulted before enumeration and updated with
@@ -257,12 +226,11 @@ std::vector<analysis::AxisConcurrency>
 effectiveConcurrency(const ir::Chain &chain, const ExecutionPlan &plan);
 
 /**
- * Runs the static safety analyzer on @p plan (under the options'
- * capacity/topology/safetyDomain) and attaches the certificate to it —
- * certified only when every SB rule proves. Used by the planner after
- * chunking and by serve::PlannerGate to re-certify cached plans stored
- * before certification existed. Returns the full analysis (violations
- * and per-rule timings).
+ * Runs the static safety analyzer on @p plan over the concrete shape
+ * (under the options' capacity/topology) and attaches the certificate
+ * to it — certified only when every SB rule proves. Used by the
+ * planner after chunking and by PlanCache::lookup on every loaded
+ * plan. Returns the full analysis (violations and per-rule timings).
  */
 analysis::SafetyAnalysis certifyPlan(const ir::Chain &chain,
                                      const PlannerOptions &options,
@@ -274,7 +242,7 @@ analysis::SafetyAnalysis certifyPlan(const ir::Chain &chain,
  * maxPermutations cap applied) with the pinned axes appended
  * innermost. @p truncated (optional) reports whether the cap cut the
  * enumeration short. Exported so the search verifier can replay the
- * exact search space (OE01-OE04).
+ * exact search space (OE01).
  */
 std::vector<std::vector<ir::AxisId>>
 enumerateCandidateOrders(const ir::Chain &chain,

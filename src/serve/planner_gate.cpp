@@ -41,23 +41,12 @@ PlannerGate::plannerOptions(const ir::Chain &chain) const
 
 void
 PlannerGate::ensureCertified(const ir::Chain &chain,
-                             const plan::PlannerOptions &po,
-                             plan::ExecutionPlan &plan)
+                             const plan::ExecutionPlan &plan)
 {
-    if (!options_.requireCertified) {
-        return;
-    }
     if (!plan.safety.certified) {
-        // Cache entries written before the analyzer existed carry no
-        // `safety:` line; prove them now rather than refusing them.
-        const analysis::SafetyAnalysis analysis =
-            plan::certifyPlan(chain, po, plan);
-        if (!plan.safety.certified) {
-            throw Error("refusing to serve an uncertified plan; the "
-                        "static safety analyzer found:\n" +
-                        analysis.renderViolations());
-        }
-        recertifiedPlans_.fetch_add(1, std::memory_order_relaxed);
+        throw Error("refusing to serve an uncertified plan for chain " +
+                    chain.name() +
+                    ": the static safety analyzer refuted it");
     }
     certifiedPlans_.fetch_add(1, std::memory_order_relaxed);
 }
@@ -112,7 +101,7 @@ PlannerGate::canonicalPlan(const ir::GemmChainConfig &config)
     }
     // Fast path: fingerprint hits never touch the flight table.
     if (std::optional<plan::ExecutionPlan> hit = cache_.lookup(chain, po)) {
-        ensureCertified(chain, po, *hit);
+        ensureCertified(chain, *hit);
         span.arg("outcome", std::string("hit"))
             .arg("dv_bytes", hit->predictedVolumeBytes)
             .arg("mu_bytes", hit->memUsageBytes);
@@ -127,7 +116,7 @@ PlannerGate::canonicalPlan(const ir::GemmChainConfig &config)
             cache_.store(chain, po, fresh);
             return fresh;
         });
-    ensureCertified(chain, po, plan);
+    ensureCertified(chain, plan);
     span.arg("outcome", std::string("planned"))
         .arg("dv_bytes", plan.predictedVolumeBytes)
         .arg("mu_bytes", plan.memUsageBytes);
@@ -169,7 +158,7 @@ PlannerGate::batchedPlan(const ir::GemmChainConfig &config,
             .arg("batch", totalBatch);
     }
     if (std::optional<plan::ExecutionPlan> hit = cache_.lookup(chain, po)) {
-        ensureCertified(chain, po, *hit);
+        ensureCertified(chain, *hit);
         span.arg("outcome", std::string("hit"))
             .arg("dv_bytes", hit->predictedVolumeBytes)
             .arg("mu_bytes", hit->memUsageBytes);
@@ -192,7 +181,7 @@ PlannerGate::batchedPlan(const ir::GemmChainConfig &config,
             cache_.store(chain, po, derived);
             return derived;
         });
-    ensureCertified(chain, po, plan);
+    ensureCertified(chain, plan);
     span.arg("outcome", std::string("planned"))
         .arg("dv_bytes", plan.predictedVolumeBytes)
         .arg("mu_bytes", plan.memUsageBytes);
@@ -207,8 +196,6 @@ PlannerGate::stats() const
     out.flightsJoined = flightsJoined_.load(std::memory_order_relaxed);
     out.derivedPlans = derivedPlans_.load(std::memory_order_relaxed);
     out.certifiedPlans = certifiedPlans_.load(std::memory_order_relaxed);
-    out.recertifiedPlans =
-        recertifiedPlans_.load(std::memory_order_relaxed);
     out.cache = cache_.stats();
     return out;
 }

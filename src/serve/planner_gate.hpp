@@ -55,16 +55,6 @@ struct PlannerGateOptions
 
     /** Audit winning plans with the legality verifier. */
     bool verifyPlans = false;
-
-    /**
-     * Serve only plans carrying a valid SB01-SB04 safety certificate.
-     * Cache entries minted before the analyzer existed load uncertified
-     * and are re-certified in place; a plan the analyzer refuses is not
-     * served. This is what lets the daemon keep the dynamic race
-     * checker off: SB04's shape-generic disjointness proof covers every
-     * admissible batch, not just the shapes replayed so far.
-     */
-    bool requireCertified = true;
 };
 
 /** Counters exposed through the daemon's stats document. */
@@ -74,7 +64,6 @@ struct PlannerGateStats
     int flightsJoined = 0; ///< waited on a concurrent leader's plan
     int derivedPlans = 0; ///< fixed-order batched derivations solved
     int certifiedPlans = 0; ///< plans served with an SB certificate
-    int recertifiedPlans = 0; ///< pre-analyzer cache entries re-proven
     plan::PlanCacheStats cache; ///< underlying plan-cache counters
 };
 
@@ -125,15 +114,16 @@ class PlannerGate
     plan::PlannerOptions plannerOptions(const ir::Chain &chain) const;
 
     /**
-     * Enforces options_.requireCertified on a plan about to be served:
-     * already-certified plans pass through (counted), uncertified ones
-     * (pre-analyzer cache entries) get one re-certification attempt,
-     * and plans the analyzer refutes raise Error with the violations —
-     * the daemon refuses to serve what it cannot prove safe.
+     * Serves only plans carrying an SB01-SB04 safety certificate (the
+     * planner and the plan cache attach one to every plan they return):
+     * certified plans pass through (counted), a plan the analyzer
+     * refuted raises Error — the daemon refuses to serve what it cannot
+     * prove safe. This is what lets the daemon keep the dynamic race
+     * checker off: SB04's disjointness proof covers every plan the gate
+     * serves, not just the shapes replayed so far.
      */
     void ensureCertified(const ir::Chain &chain,
-                         const plan::PlannerOptions &po,
-                         plan::ExecutionPlan &plan);
+                         const plan::ExecutionPlan &plan);
 
     const PlannerGateOptions options_;
     plan::PlanCache cache_;
@@ -148,7 +138,6 @@ class PlannerGate
     std::atomic<int> flightsJoined_{0};
     std::atomic<int> derivedPlans_{0};
     std::atomic<int> certifiedPlans_{0};
-    std::atomic<int> recertifiedPlans_{0};
 };
 
 /**

@@ -348,11 +348,11 @@ Server::executorLoop()
     }
     exec::ExecOptions execOptions;
     execOptions.threads = std::max(1, options_.execThreads);
-    // execOptions.raceCheck stays nullptr in the daemon: the gate's
-    // requireCertified policy only serves plans whose SB04 certificate
-    // proves shape-generic disjointness of the parallel axes, so the
-    // per-run shadow-memory scan (RC01) would re-prove statically
-    // settled facts at ~2x execution cost on every request.
+    // execOptions.raceCheck stays nullptr in the daemon: the gate only
+    // serves plans whose SB04 certificate proves shape-generic
+    // disjointness of the parallel axes, so the per-run shadow-memory
+    // scan (RC01) would re-prove statically settled facts at ~2x
+    // execution cost on every request.
     const auto now = [this] { return nowSeconds(); };
     while (true) {
         std::vector<ServeJob> group;
@@ -646,7 +646,6 @@ Server::statsText() const
         << "plans-joined: " << g.flightsJoined << "\n"
         << "derived-plans: " << g.derivedPlans << "\n"
         << "certified-plans: " << g.certifiedPlans << "\n"
-        << "recertified-plans: " << g.recertifiedPlans << "\n"
         << "plan-cache-memory-hits: " << g.cache.memoryHits << "\n"
         << "plan-cache-disk-hits: " << g.cache.diskHits << "\n"
         << "plan-cache-misses: " << g.cache.misses << "\n"
@@ -698,8 +697,6 @@ Server::metricsJson() const
     registry_.gauge("chimera.serve.derived_plans").set(g.derivedPlans);
     registry_.gauge("chimera.serve.certified_plans")
         .set(g.certifiedPlans);
-    registry_.gauge("chimera.serve.recertified_plans")
-        .set(g.recertifiedPlans);
     return obs::renderJson({&registry_, &obs::Registry::global()});
 }
 

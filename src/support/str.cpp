@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iomanip>
+#include <limits>
 
 #include "support/error.hpp"
 
@@ -64,6 +65,17 @@ parseInt64Strict(const std::string &token, const std::string &context)
         throw Error(context + ": invalid integer \"" + token + "\"");
     }
     return static_cast<std::int64_t>(value);
+}
+
+int
+parseIntStrict(const std::string &token, const std::string &context)
+{
+    const std::int64_t value = parseInt64Strict(token, context);
+    if (value < std::numeric_limits<int>::min() ||
+        value > std::numeric_limits<int>::max()) {
+        throw Error(context + ": integer out of range \"" + token + "\"");
+    }
+    return static_cast<int>(value);
 }
 
 double

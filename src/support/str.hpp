@@ -32,6 +32,10 @@ std::string formatVector(const std::vector<std::int64_t> &values);
 std::int64_t parseInt64Strict(const std::string &token,
                               const std::string &context);
 
+/** parseInt64Strict for int-typed values: also rejects values outside
+ * int's range instead of narrowing them. */
+int parseIntStrict(const std::string &token, const std::string &context);
+
 /** Full-token floating-point counterpart of parseInt64Strict. */
 double parseDoubleStrict(const std::string &token,
                          const std::string &context);

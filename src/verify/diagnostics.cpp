@@ -45,33 +45,18 @@ publishedRules()
          true},
         {"PL07", "PL", "re-derived memory usage exceeds the capacity",
          true},
-        {"PL08", "PL", "declared DV/MU predictions disagree with re-derived",
+        {"PL08", "PL", "plan DV/MU predictions disagree with re-derived",
          true},
         {"PL09", "PL", "Algorithm 1 disagrees with brute-force recount",
          true},
         {"PL10", "PL", "document fingerprint mismatch", true},
         {"PL11", "PL", "multi-level schedule nesting defect", true},
-        {"PL12", "PL", "concurrency line binding defect", true},
         {"PL13", "PL", "thread-aware chunking defect", true},
-        {"PL14", "PL", "safety-certificate binding defect (forged/replayed"
-                       " or refuted `safety:` line)",
-         true},
-        {"PL15", "PL", "search-stats binding defect (inconsistent counts"
-                       " or forged/replayed `search:` line)",
-         true},
         {"KP01", "KP", "micro-kernel register usage exceeds the budget",
          true},
         {"KP02", "KP", "micro-kernel structure: MII < 2 or MII !| MI",
          true},
         {"KP03", "KP", "micro-kernel parameter not positive", true},
-        {"DP01", "DP", "concurrency table arity mismatch", true},
-        {"DP02", "DP", "axis declared parallel is a reduction axis", true},
-        {"DP03", "DP", "axis declared parallel/reduction is sequential",
-         true},
-        {"DP04", "DP", "over-serialization of a proven-parallel axis",
-         true},
-        {"DP05", "DP", "epilogue-coupled axis declared parallel", true},
-        {"DP06", "DP", "v2 document carries no concurrency table", true},
         {"RC01", "RC", "shadow-memory write conflict observed at runtime",
          false},
         {"SB01", "SB", "block window escapes tensor extents for an"
@@ -84,16 +69,7 @@ publishedRules()
                        " proof",
          true},
         {"OE01", "OE", "symmetry-class merge unsound: class members solve"
-                       " differently",
-         true},
-        {"OE02", "OE", "dominance bound unsound: solved volume undercuts"
-                       " the bound or exact pruning changed the argmin",
-         true},
-        {"OE03", "OE", "incremental prefix bound diverges from"
-                       " from-scratch evaluation",
-         true},
-        {"OE04", "OE", "beam optimality-gap bound refuted by the"
-                       " exhaustive optimum",
+                       " differently or the argmin changed",
          true},
     };
     return rules;

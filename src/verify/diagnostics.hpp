@@ -51,7 +51,7 @@ struct RuleInfo
     /** Stable rule identifier, e.g. "SB03". */
     std::string id;
 
-    /** Family prefix: "CH", "PL", "KP", "DP", "RC", "SB" or "OE". */
+    /** Family prefix: "CH", "PL", "KP", "RC", "SB" or "OE". */
     std::string family;
 
     /** One-line meaning (matches the README rule table). */
@@ -67,7 +67,7 @@ struct RuleInfo
 
 /**
  * The complete published rule-id registry, in family order (CH01-07,
- * PL01-15, KP01-03, DP01-06, RC01, SB01-04, OE01-04). Tests golden-list this
+ * PL01-11 and PL13, KP01-03, RC01, SB01-04, OE01). Tests golden-list this
  * set so renames and accidental drops become failures; tooling can use
  * it to validate grep patterns.
  */

@@ -5,11 +5,7 @@
 #include <string>
 
 #include "model/data_movement.hpp"
-#include "support/error.hpp"
 #include "support/mathutil.hpp"
-#include "verify/concurrency_verifier.hpp"
-#include "verify/safety_verifier.hpp"
-#include "verify/search_verifier.hpp"
 
 namespace chimera::verify {
 
@@ -250,26 +246,24 @@ checkPerWorkerShare(std::int64_t memUsageBytes, int workers,
     }
 }
 
-/** PL08: declared predictions against the re-derived values. */
+/** PL08: a plan's predictions against the re-derived values. */
 void
-checkDeclaredPredictions(const model::DataMovement &dm,
-                         double declaredVolume, bool haveVolume,
-                         std::int64_t declaredMem, bool haveMem,
-                         Report &report)
+checkPredictions(const model::DataMovement &dm,
+                 const plan::ExecutionPlan &plan, Report &report)
 {
-    if (haveVolume && predictionsDiffer(declaredVolume, dm.volumeBytes)) {
+    if (predictionsDiffer(plan.predictedVolumeBytes, dm.volumeBytes)) {
         report.error("PL08", "volume-bytes",
-                     "declared volume " + formatDouble(declaredVolume) +
-                         " B disagrees with the re-derived " +
+                     "plan predicts volume " +
+                         formatDouble(plan.predictedVolumeBytes) +
+                         " B but the re-derived value is " +
                          formatDouble(dm.volumeBytes) + " B");
     }
-    if (haveMem &&
-        predictionsDiffer(static_cast<double>(declaredMem),
+    if (predictionsDiffer(static_cast<double>(plan.memUsageBytes),
                           static_cast<double>(dm.memUsageBytes))) {
         report.error("PL08", "mem-bytes",
-                     "declared memory usage " +
-                         std::to_string(declaredMem) +
-                         " B disagrees with the re-derived " +
+                     "plan predicts memory usage " +
+                         std::to_string(plan.memUsageBytes) +
+                         " B but the re-derived value is " +
                          std::to_string(dm.memUsageBytes) + " B");
     }
 }
@@ -413,43 +407,16 @@ verifyExecutionPlan(const Chain &chain, const plan::ExecutionPlan &plan,
     if (permOk && tilesOk) {
         const model::DataMovement dm =
             checkLegality(chain, plan.perm, plan.tiles, options, report);
-        checkDeclaredPredictions(dm, plan.predictedVolumeBytes, true,
-                                 plan.memUsageBytes, true, report);
-        // Plans without a table (hand-assembled) get fresh analysis at
-        // execution time, so there is nothing to disagree with.
-        if (!plan.concurrency.empty()) {
-            report.merge(
-                verifyConcurrency(chain, plan.tiles, plan.concurrency));
-        }
+        checkPredictions(dm, plan, report);
         // PL13: chunking structure against the classes the executors
         // will actually obey, then the per-worker LLC share.
-        const std::vector<analysis::AxisConcurrency> kinds =
-            static_cast<int>(plan.concurrency.size()) == chain.numAxes()
-                ? plan.concurrency
-                : analysis::analyzeConcurrency(chain, plan.tiles).kinds();
         checkChunking(chain, plan.plannedThreads, plan.parallelGrain,
-                      kinds, report);
+                      plan::effectiveConcurrency(chain, plan), report);
         const int workers = plan.plannedThreads > 1
                                 ? plan.plannedThreads
                                 : options.plannedThreads;
         checkPerWorkerShare(dm.memUsageBytes, workers, options.topology,
                             report);
-        // PL14 + SB: a certified plan must survive digest recompute and
-        // an analyzer re-run (PlanCache lookups audit through here, so
-        // tampered certificates in cache entries are rejected on load).
-        if (plan.safety.certified) {
-            SafetyVerifyOptions so;
-            so.memCapacityBytes = options.memCapacityBytes;
-            so.topology = options.topology;
-            so.workers = workers;
-            report.merge(verifySafetyCertificate(chain, plan, so));
-        }
-        // PL15: a plan claiming search stats must survive the counts
-        // audit and the digest recompute (cache lookups audit through
-        // here, so a tampered `search:` line forces a replan).
-        if (plan.search.present) {
-            report.merge(verifySearchStats(chain, plan));
-        }
     }
     return report;
 }
@@ -547,10 +514,6 @@ verifyPlanDocument(const Chain &chain, const plan::ParsedPlanDoc &doc,
     if (permOk && tilesOk) {
         const model::DataMovement dm =
             checkLegality(chain, perm, tiles, options, report);
-        checkDeclaredPredictions(dm, doc.declaredVolumeBytes,
-                                 doc.haveVolume, doc.declaredMemBytes,
-                                 doc.haveMem, report);
-        report.merge(verifyDocumentConcurrency(chain, doc, tiles));
 
         // PL13: bind and audit the chunking lines. The parser enforces
         // positivity; binding and parallel-only are checked here so
@@ -573,64 +536,15 @@ verifyPlanDocument(const Chain &chain, const plan::ParsedPlanDoc &doc,
                 grain[static_cast<std::size_t>(axis)] = g;
             }
         }
-        // Grains must target axes the *executors* treat as parallel:
-        // the document's own table when it binds, fresh analysis
-        // otherwise (mirrors plan::effectiveConcurrency).
-        std::vector<analysis::AxisConcurrency> kinds;
-        if (doc.haveConcurrency) {
-            try {
-                kinds = plan::bindConcurrency(chain, doc.concurrency);
-            } catch (const Error &) {
-                // already reported as PL12 by verifyDocumentConcurrency
-            }
-        }
-        if (static_cast<int>(kinds.size()) != chain.numAxes()) {
-            kinds = analysis::analyzeConcurrency(chain, tiles).kinds();
-        }
+        // Grains must target axes the executors treat as parallel: the
+        // table the loader derives from the document's tiles.
         const int workers =
             doc.haveThreads ? static_cast<int>(doc.threads) : 1;
-        checkChunking(chain, workers, grain, kinds, report);
+        checkChunking(chain, workers, grain,
+                      analysis::analyzeConcurrency(chain, tiles).kinds(),
+                      report);
         checkPerWorkerShare(dm.memUsageBytes, workers, options.topology,
                             report);
-
-        // PL14 + SB: bind the safety line (reported, not thrown) and
-        // validate the certificate against the bound schedule.
-        if (doc.haveSafety) {
-            plan::ExecutionPlan bound;
-            try {
-                bound.safety = plan::bindSafety(chain, doc.safety);
-            } catch (const Error &e) {
-                report.error("PL14", "safety", e.what());
-            }
-            if (bound.safety.certified) {
-                bound.perm = perm;
-                bound.tiles = tiles;
-                bound.concurrency = kinds;
-                bound.plannedThreads = workers;
-                bound.parallelGrain = grain;
-                SafetyVerifyOptions so;
-                so.memCapacityBytes = options.memCapacityBytes;
-                so.topology = options.topology;
-                so.workers = workers;
-                report.merge(verifySafetyCertificate(chain, bound, so));
-            }
-        }
-
-        // PL15: bind the search line (reported, not thrown) and audit
-        // its claims against the bound schedule.
-        if (doc.haveSearch) {
-            plan::ExecutionPlan bound;
-            bound.perm = perm;
-            bound.tiles = tiles;
-            try {
-                bound.search = plan::bindSearch(doc.search);
-            } catch (const Error &e) {
-                report.error("PL15", "search", e.what());
-            }
-            if (bound.search.present) {
-                report.merge(verifySearchStats(chain, bound));
-            }
-        }
     }
     return report;
 }

@@ -26,20 +26,15 @@
  *  - PL06  block order not executable with single on-chip intermediate
  *          regions (model::isExecutableOrder)
  *  - PL07  re-derived memory usage exceeds the capacity
- *  - PL08  declared DV/MU predictions disagree with the re-derived
- *          Algorithm-1 values (stale or tampered document)
+ *  - PL08  an in-memory plan's DV/MU predictions disagree with the
+ *          re-derived Algorithm-1 values (documents carry none; the
+ *          loader recomputes them)
  *  - PL09  Algorithm-1 result disagrees with the brute-force recount
  *          (a model regression; reported as a note when the block grid
  *          is too large to recount)
  *  - PL10  document fingerprint does not match the expected cache key
  *  - PL11  multi-level schedule defect: wrong level count or inner
  *          tiles not nested inside the enclosing level's tiles
- *  - PL12  document concurrency binding defect: unknown axis, unknown
- *          kind, duplicate entry, or incomplete axis coverage (see
- *          concurrency_verifier.hpp; the DP01-DP06 rules comparing a
- *          bound table against fresh dependence analysis live there
- *          and run as part of verifyExecutionPlan /
- *          verifyPlanDocument)
  *  - PL13  thread-aware chunking defect: plannedThreads < 1, a grain
  *          vector of the wrong arity or with non-positive entries, a
  *          grain > 1 on an axis the dependence analysis did not prove
@@ -48,13 +43,6 @@
  *          than one worker's share of the tightest shared level
  *          (capacity / workers), i.e. the plan would thrash the LLC
  *          at its own declared thread count
- *  - PL14  safety-certificate binding defect: a `safety:` line with
- *          malformed fields, a domain naming unknown axes, a digest
- *          that does not match the bound chain + schedule, or claimed
- *          SB rules the re-run analyzer refutes (see
- *          safety_verifier.hpp; the SB01-SB04 rules themselves live
- *          there and run as part of verifyExecutionPlan /
- *          verifyPlanDocument on certified plans)
  *  - KP01  micro-kernel register usage MI*NI + NI + MII exceeds the
  *          register budget
  *  - KP02  micro-kernel structure: MII < 2 or MII does not divide MI
@@ -135,16 +123,18 @@ Report verifyPlan(const ir::Chain &chain,
                   const std::vector<std::int64_t> &tiles,
                   const PlanVerifyOptions &options);
 
-/** verifyPlan plus the PL08 check of the plan's embedded predictions. */
+/**
+ * verifyPlan plus the PL08 check of the plan's predictions and the PL13
+ * chunking checks against the concurrency table the executors obey.
+ */
 Report verifyExecutionPlan(const ir::Chain &chain,
                            const plan::ExecutionPlan &plan,
                            const PlanVerifyOptions &options);
 
 /**
  * Checks a parsed plan document against @p chain: name binding (PL02,
- * PL03, PL05), the core schedule checks, declared-prediction drift
- * (PL08) and the fingerprint when @p expectedFingerprint is non-empty
- * (PL10).
+ * PL03, PL05), the core schedule checks, the chunking lines (PL13) and
+ * the fingerprint when @p expectedFingerprint is non-empty (PL10).
  */
 Report verifyPlanDocument(const ir::Chain &chain,
                           const plan::ParsedPlanDoc &doc,

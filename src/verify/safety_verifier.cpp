@@ -1,48 +1,8 @@
 #include "verify/safety_verifier.hpp"
 
 #include <algorithm>
-#include <cctype>
-
-#include "support/error.hpp"
 
 namespace chimera::verify {
-
-namespace {
-
-/** Workers the analysis should assume (plan's own count wins). */
-int
-effectiveWorkers(const plan::ExecutionPlan &plan,
-                 const SafetyVerifyOptions &options)
-{
-    return plan.plannedThreads > 1 ? plan.plannedThreads
-                                   : std::max(1, options.workers);
-}
-
-/** Runs the analyzer with the verify-side budget context. */
-analysis::SafetyAnalysis
-runAnalyzer(const ir::Chain &chain, const plan::ExecutionPlan &plan,
-            const analysis::ShapeDomain &domain,
-            const SafetyVerifyOptions &options)
-{
-    analysis::SafetyOptions so;
-    so.memCapacityBytes = options.memCapacityBytes;
-    so.topology = options.topology;
-    return analysis::analyzeSafety(
-        chain, plan.perm, plan.tiles,
-        plan::effectiveConcurrency(chain, plan),
-        effectiveWorkers(plan, options), plan.parallelGrain, domain, so);
-}
-
-void
-reportViolations(const analysis::SafetyAnalysis &sa, Report &report)
-{
-    for (const analysis::SafetyViolation &v : sa.violations) {
-        report.error(analysis::safetyRuleName(v.rule), v.location,
-                     v.message);
-    }
-}
-
-} // namespace
 
 Report
 verifyPlanSafety(const ir::Chain &chain, const plan::ExecutionPlan &plan,
@@ -53,79 +13,23 @@ verifyPlanSafety(const ir::Chain &chain, const plan::ExecutionPlan &plan,
         options.domainSpec.empty() ? "concrete" : options.domainSpec;
     const analysis::ShapeDomain domain =
         analysis::parseShapeDomain(chain, spec, "safety domain");
-    const analysis::SafetyAnalysis sa =
-        runAnalyzer(chain, plan, domain, options);
+    analysis::SafetyOptions so;
+    so.memCapacityBytes = options.memCapacityBytes;
+    so.topology = options.topology;
+    // A thread-aware plan's own worker count wins over the option.
+    const int workers = plan.plannedThreads > 1
+                            ? plan.plannedThreads
+                            : std::max(1, options.workers);
+    const analysis::SafetyAnalysis sa = analysis::analyzeSafety(
+        chain, plan.tiles, plan::effectiveConcurrency(chain, plan), workers,
+        plan.parallelGrain, domain, so);
     Report report;
-    reportViolations(sa, report);
-    if (out != nullptr) {
-        *out = sa;
-    }
-    return report;
-}
-
-Report
-verifySafetyCertificate(const ir::Chain &chain,
-                        const plan::ExecutionPlan &plan,
-                        const SafetyVerifyOptions &options)
-{
-    Report report;
-    const analysis::SafetyCertificate &cert = plan.safety;
-    if (!cert.certified) {
-        return report;
-    }
-
-    analysis::ShapeDomain domain = analysis::ShapeDomain::concrete(chain);
-    try {
-        domain =
-            analysis::parseShapeDomain(chain, cert.domain, "safety domain");
-    } catch (const Error &e) {
-        report.error("PL14", "safety.domain", e.what());
-        return report;
-    }
-
-    // The digest binds the certificate to this exact chain + schedule.
-    // The analyzer normalizes an empty grain vector to all-1 before
-    // hashing; mirror that here.
-    const std::vector<std::int64_t> grain =
-        plan.parallelGrain.empty()
-            ? std::vector<std::int64_t>(
-                  static_cast<std::size_t>(chain.numAxes()), 1)
-            : plan.parallelGrain;
-    const std::string expected = analysis::safetyDigest(
-        chain, plan.perm, plan.tiles, std::max(1, plan.plannedThreads),
-        grain, cert.domain, cert.rules);
-    if (expected != cert.digest) {
-        report.error("PL14", "safety.digest",
-                     "certificate digest " + cert.digest +
-                         " does not match this chain + schedule (expected " +
-                         expected +
-                         "); the certificate was forged or replayed from"
-                         " another plan");
-        return report;
-    }
-
-    // Re-prove the claimed rules; a certificate the analyzer refutes is
-    // a binding defect (the SB findings say what actually fails).
-    const analysis::SafetyAnalysis sa =
-        runAnalyzer(chain, plan, domain, options);
-    bool refuted = false;
     for (const analysis::SafetyViolation &v : sa.violations) {
-        std::string id = analysis::safetyRuleName(v.rule);
-        std::transform(id.begin(), id.end(), id.begin(),
-                       [](unsigned char c) {
-                           return static_cast<char>(std::tolower(c));
-                       });
-        if (cert.rules.find(id) != std::string::npos) {
-            refuted = true;
-        }
         report.error(analysis::safetyRuleName(v.rule), v.location,
                      v.message);
     }
-    if (refuted) {
-        report.error("PL14", "safety",
-                     "certificate claims rules " + cert.rules +
-                         " over domain " + cert.domain +
-                         " but the analyzer refutes it (see SB findings)");
+    if (out != nullptr) {
+        *out = sa;
     }
     return report;
 }

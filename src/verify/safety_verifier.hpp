@@ -2,12 +2,10 @@
 
 /**
  * @file
- * Static plan-safety legality analysis: the SB rule family plus the
- * PL14 certificate-binding rule.
+ * Static plan-safety legality analysis: the SB rule family.
  *
  * The analyzer itself lives in analysis/static_safety.hpp; this layer
- * turns its findings into verify::Report diagnostics and polices the
- * `safety:` plan-document line.
+ * turns its findings into verify::Report diagnostics.
  *
  * Rules:
  *  - SB01  a block read/write window escapes its tensor's extents for
@@ -19,17 +17,12 @@
  *          int64 (error)
  *  - SB04  a parallel-marked axis has no shape-generic disjointness
  *          proof for its output windows (error)
- *  - PL14  certificate binding defect: malformed `safety:` fields, a
- *          digest that does not match the bound chain + schedule, or
- *          claimed rules the re-run analyzer refutes (error). Extends
- *          the PL document-binding family the same way PL12 does for
- *          `concurrency:`.
  */
 
 #include <string>
 
 #include "analysis/static_safety.hpp"
-#include "plan/plan_io.hpp"
+#include "plan/planner.hpp"
 #include "verify/diagnostics.hpp"
 
 namespace chimera::verify {
@@ -52,8 +45,7 @@ struct SafetyVerifyOptions
     /**
      * Shape-domain spec for verifyPlanSafety ("" or "concrete" pins
      * every axis; otherwise ShapeDomain::summary grammar, e.g.
-     * "b:1..4096"). verifySafetyCertificate always uses the
-     * certificate's own domain instead.
+     * "b:1..4096").
      */
     std::string domainSpec;
 };
@@ -71,16 +63,5 @@ Report verifyPlanSafety(const ir::Chain &chain,
                         const plan::ExecutionPlan &plan,
                         const SafetyVerifyOptions &options,
                         analysis::SafetyAnalysis *out = nullptr);
-
-/**
- * PL14 validation of an attached certificate: recomputes the digest
- * from the bound schedule and re-runs the analyzer over the
- * certificate's own domain, so a `safety:` line can neither be forged
- * nor replayed onto a different schedule. Refuted claims additionally
- * carry their SB findings. No-op (empty report) on uncertified plans.
- */
-Report verifySafetyCertificate(const ir::Chain &chain,
-                               const plan::ExecutionPlan &plan,
-                               const SafetyVerifyOptions &options);
 
 } // namespace chimera::verify

@@ -1,18 +1,15 @@
 #include "verify/search_verifier.hpp"
 
 #include <cmath>
-#include <cstdlib>
 #include <set>
 #include <unordered_map>
 
+#include "analysis/order_equivalence.hpp"
 #include "solver/tile_solver.hpp"
-#include "support/mathutil.hpp"
 
 namespace chimera::verify {
 
 namespace {
-
-using analysis::PruneMode;
 
 /** Exact equality of integral-valued doubles via the planner's band. */
 bool
@@ -41,198 +38,42 @@ samePlan(const plan::ExecutionPlan &a, const plan::ExecutionPlan &b)
 
 } // namespace
 
-Report
-verifySearchStats(const ir::Chain &chain, const plan::ExecutionPlan &plan)
-{
-    Report report;
-    const analysis::SearchStats &s = plan.search;
-    if (!s.present) {
-        return report;
-    }
-    const std::int64_t accounted = s.filtered + s.symmetryPruned +
-                                   s.dominancePruned + s.beamPruned +
-                                   s.solved;
-    if (s.enumerated != accounted) {
-        report.error(
-            "PL15", "search.counts",
-            "candidate accounting does not close: enumerated " +
-                std::to_string(s.enumerated) + " but filtered + pruned" +
-                " + solved is " + std::to_string(accounted));
-    }
-    if (s.solved < 1) {
-        report.error("PL15", "search.solved",
-                     "a winning plan implies at least one solved"
-                     " candidate, line claims " +
-                         std::to_string(s.solved));
-    }
-    const bool claimsSymmetry = s.symmetryPruned != 0;
-    const bool claimsDominance = s.dominancePruned != 0;
-    const bool claimsBeam = s.beamPruned != 0;
-    switch (s.mode) {
-    case PruneMode::None:
-        if (claimsSymmetry || claimsDominance || claimsBeam) {
-            report.error("PL15", "search.mode",
-                         "mode=none (exhaustive) cannot claim pruned"
-                         " candidates");
-        }
-        break;
-    case PruneMode::Symmetry:
-        if (claimsDominance || claimsBeam) {
-            report.error("PL15", "search.mode",
-                         "mode=symmetry cannot claim dominance- or"
-                         " beam-pruned candidates");
-        }
-        break;
-    case PruneMode::Dominance:
-        if (claimsBeam) {
-            report.error("PL15", "search.mode",
-                         "mode=dominance cannot claim beam-pruned"
-                         " candidates");
-        }
-        break;
-    case PruneMode::Beam:
-        if (claimsDominance) {
-            report.error("PL15", "search.mode",
-                         "mode=beam cannot claim dominance-pruned"
-                         " candidates");
-        }
-        break;
-    }
-    if (s.mode != PruneMode::Beam && s.gapBoundBytes != 0) {
-        report.error("PL15", "search.gap",
-                     "exact mode " +
-                         std::string(analysis::pruneModeName(s.mode)) +
-                         " must record gap=0, line claims " +
-                         std::to_string(s.gapBoundBytes));
-    }
-    if (s.mode == PruneMode::Beam && !claimsBeam && s.gapBoundBytes != 0) {
-        report.error("PL15", "search.gap",
-                     "beam search that solved every surviving order"
-                     " must record gap=0, line claims " +
-                         std::to_string(s.gapBoundBytes));
-    }
-    const int reorderable =
-        static_cast<int>(chain.reorderableAxes().size());
-    if (reorderable <= 20) {
-        const std::int64_t full = factorial(reorderable);
-        if (!s.truncated && s.enumerated != full) {
-            report.error(
-                "PL15", "search.enumerated",
-                "untruncated search over " +
-                    std::to_string(reorderable) +
-                    " reorderable axes must enumerate " +
-                    std::to_string(full) + " orders, line claims " +
-                    std::to_string(s.enumerated));
-        }
-        if (s.truncated && s.enumerated >= full) {
-            report.error(
-                "PL15", "search.truncated",
-                "search claims truncation but enumerated all " +
-                    std::to_string(full) + " orders");
-        }
-    }
-    const std::string expected =
-        analysis::searchDigest(chain, plan.perm, plan.tiles, s);
-    if (expected != s.digest) {
-        report.error("PL15", "search.digest",
-                     "search digest " + s.digest +
-                         " does not match this chain + schedule +"
-                         " claims (expected " +
-                         expected +
-                         "); the line was forged or replayed from"
-                         " another plan");
-    }
-    return report;
-}
-
 SearchReplay
 replaySearch(const ir::Chain &chain, const plan::PlannerOptions &options)
 {
     SearchReplay out;
 
     // Fresh plans both times: the cache would hide the very search this
-    // replay exists to check, and the planner's own self-check would
-    // recurse into PL15.
+    // replay exists to check.
     plan::PlannerOptions prunedOpts = options;
     prunedOpts.cache = nullptr;
     prunedOpts.verify = false;
     plan::PlannerOptions exhaustiveOpts = prunedOpts;
-    exhaustiveOpts.prune = PruneMode::None;
+    exhaustiveOpts.prune = analysis::PruneMode::None;
 
     out.pruned = plan::planChain(chain, prunedOpts);
     out.exhaustive = plan::planChain(chain, exhaustiveOpts);
-    out.report.merge(verifySearchStats(chain, out.pruned));
-
-    if (options.prune == PruneMode::Beam) {
-        // OE04: the gap bound must cover however much better the true
-        // optimum is than the beam's pick.
-        const double floor =
-            out.pruned.predictedVolumeBytes -
-            static_cast<double>(out.pruned.search.gapBoundBytes);
-        if (out.exhaustive.predictedVolumeBytes < floor - 0.5) {
-            out.report.error(
-                "OE04", "search.gap",
-                "beam plan (" + describePlan(chain, out.pruned) +
-                    ", gap " +
-                    std::to_string(out.pruned.search.gapBoundBytes) +
-                    "B) is refuted by the exhaustive optimum (" +
-                    describePlan(chain, out.exhaustive) + ")");
-        }
-    } else if (!samePlan(out.pruned, out.exhaustive)) {
-        // Attribute the argmin divergence: if symmetry alone already
-        // diverges the class merge is unsound (OE01), otherwise the
-        // dominance bound pruned the winner (OE02).
-        std::string rule = "OE01";
-        if (options.prune == PruneMode::Dominance) {
-            plan::PlannerOptions symOpts = prunedOpts;
-            symOpts.prune = PruneMode::Symmetry;
-            const plan::ExecutionPlan symOnly =
-                plan::planChain(chain, symOpts);
-            if (samePlan(symOnly, out.exhaustive)) {
-                rule = "OE02";
-            }
-        }
+    if (!samePlan(out.pruned, out.exhaustive)) {
         out.report.error(
-            rule, "search.argmin",
+            "OE01", "search.argmin",
             std::string(analysis::pruneModeName(options.prune)) +
                 " pruning selected " + describePlan(chain, out.pruned) +
                 " but exhaustive search selects " +
                 describePlan(chain, out.exhaustive));
     }
 
-    // Analyzer-level claims, checked against the solver over the exact
+    // The class merge itself, checked against the solver over the exact
     // candidate space the planner searched.
     const solver::TileConstraints constraints =
         plan::searchConstraints(chain, prunedOpts);
-    const double capacity = model::clampedPerWorkerBudgetBytes(
-        prunedOpts.memCapacityBytes, prunedOpts.topology,
-        prunedOpts.execThreads);
-    analysis::OrderAnalyzer analyzer(chain, constraints, capacity,
-                                     prunedOpts.model);
+    const analysis::OrderAnalyzer analyzer(chain, constraints);
     const std::vector<std::vector<ir::AxisId>> candidates =
         plan::enumerateCandidateOrders(chain, prunedOpts);
 
-    // OE03: the incremental prefix evaluation must agree with the
-    // from-scratch bound on every candidate, in enumeration order.
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-        const double incremental =
-            analyzer.lowerBoundIncremental(candidates[i]);
-        const double scratch = analyzer.lowerBound(candidates[i]);
-        if (!sameVolume(incremental, scratch)) {
-            out.report.error(
-                "OE03",
-                "candidate #" + std::to_string(i) + " (" +
-                    plan::orderString(chain, candidates[i]) + ")",
-                "incremental lower bound " +
-                    std::to_string(incremental) +
-                    "B != from-scratch bound " +
-                    std::to_string(scratch) + "B");
-            break;
-        }
-    }
-
     solver::TileSolverOptions solverOptions;
-    solverOptions.memCapacityBytes = capacity;
+    solverOptions.memCapacityBytes = model::clampedPerWorkerBudgetBytes(
+        prunedOpts.memCapacityBytes, prunedOpts.topology,
+        prunedOpts.execThreads);
     solverOptions.maxSweeps = prunedOpts.solverSweeps;
     solverOptions.model = prunedOpts.model;
 
@@ -264,36 +105,6 @@ replaySearch(const ir::Chain &chain, const plan::PlannerOptions &options)
                     " solves differently from its representative");
         }
         ++classesChecked;
-    }
-
-    // OE02 direct: no solved order may achieve a volume below its
-    // certified lower bound (sampled candidates).
-    std::set<std::size_t> samples;
-    if (!candidates.empty()) {
-        samples.insert(0);
-        samples.insert(candidates.size() / 2);
-        samples.insert(candidates.size() - 1);
-    }
-    for (const std::size_t i : samples) {
-        const solver::TileSolution sol = solver::solveTiles(
-            chain, candidates[i], constraints, solverOptions);
-        if (!sol.feasible) {
-            continue;
-        }
-        const double bound = analyzer.lowerBound(candidates[i]);
-        if (sol.volumeBytes < bound - 0.5) {
-            out.report.error(
-                "OE02",
-                "candidate #" + std::to_string(i) + " (" +
-                    plan::orderString(chain, candidates[i]) + ")",
-                "achieved volume " +
-                    std::to_string(static_cast<std::int64_t>(
-                        sol.volumeBytes)) +
-                    "B undercuts the certified lower bound " +
-                    std::to_string(
-                        static_cast<std::int64_t>(bound)) +
-                    "B");
-        }
     }
     return out;
 }

@@ -2,51 +2,23 @@
 
 /**
  * @file
- * Search-certificate verification: the OE rule family plus the PL15
- * `search:` document rule.
+ * Search-pruning verification: the OE rule family.
  *
  * The analyzer whose claims are policed here lives in
- * analysis/order_equivalence.hpp; this layer (a) validates a plan's
- * attached search stats — count consistency and the tamper-evident
- * digest — and (b) replays a pruned search against exhaustive
- * enumeration so the exactness claims are checked against the real
- * solver, not trusted.
+ * analysis/order_equivalence.hpp; this layer replays a pruned search
+ * against exhaustive enumeration so the exactness claim is checked
+ * against the real solver, not trusted.
  *
  * Rules:
  *  - OE01  symmetry-class merge unsound: two orders in one class got
- *          different tile-solver results (error)
- *  - OE02  dominance bound unsound: a solved order achieved a volume
- *          below its certified lower bound, or exact pruning changed
- *          the argmin (error)
- *  - OE03  incremental prefix evaluation diverges from the
- *          from-scratch lower bound (error)
- *  - OE04  beam optimality-gap bound refuted: the exhaustive optimum
- *          undercuts the beam plan's volume minus its recorded gap
- *          (error)
- *  - PL15  search-line binding defect: inconsistent counts, a mode
- *          that contradicts the counts, or a digest that does not
- *          match the bound chain + schedule + claims (error). Extends
- *          the PL document-binding family the same way PL14 does for
- *          `safety:`.
+ *          different tile-solver results, or pruning changed the
+ *          argmin (error)
  */
 
-#include "plan/plan_io.hpp"
+#include "plan/planner.hpp"
 #include "verify/diagnostics.hpp"
 
 namespace chimera::verify {
-
-/**
- * PL15 validation of a plan's attached search stats: the counts
- * identity (enumerated == filtered + symmetry + dominance + beam +
- * solved), solved >= 1, per-mode zero rules (e.g. an exhaustive search
- * cannot claim pruned candidates, exact modes cannot claim a gap),
- * truncation consistency against the chain's reorderable-axis
- * factorial, and the digest recompute binding the claims to this exact
- * chain + schedule. No-op (empty report) when the plan carries no
- * search stats.
- */
-Report verifySearchStats(const ir::Chain &chain,
-                         const plan::ExecutionPlan &plan);
 
 /** Outcome of replaying a pruned search against exhaustive search. */
 struct SearchReplay
@@ -64,14 +36,10 @@ struct SearchReplay
 /**
  * Replays the order search for @p chain twice — once under
  * @p options.prune, once exhaustively — and checks the analyzer's
- * claims against the solver ground truth (OE01-OE04): exact modes must
- * select the bitwise-identical plan, sampled symmetry-class members
- * must solve identically to their representatives, every solved order
- * must respect its lower bound, the incremental bound must equal the
- * from-scratch bound on every candidate, and beam mode's gap bound
- * must cover the exhaustive optimum. The plan cache is bypassed; both
- * plans are returned for reporting. PL15 is also run on the pruned
- * plan's stats.
+ * claims against the solver ground truth (OE01): the pruned search
+ * must select the bitwise-identical plan, and sampled symmetry-class
+ * members must solve identically to their representatives. The plan
+ * cache is bypassed; both plans are returned for reporting.
  */
 SearchReplay replaySearch(const ir::Chain &chain,
                           const plan::PlannerOptions &options);

@@ -75,8 +75,7 @@ TEST(Dependence, SoftmaxEpilogueFlagsTheRowAxis)
 
     // The row sum accumulates across l blocks of the intermediate; l was
     // already a reduction axis (gemm2 contracts it), but the flag must
-    // record the epilogue coupling so the verifier can refuse a parallel
-    // re-declaration with the sharper DP05 diagnosis.
+    // still record the epilogue coupling.
     const AxisId l = ir::axisIdByName(chain, "l");
     EXPECT_EQ(table.kindOf(l), AxisConcurrency::Reduction);
     EXPECT_TRUE(table.axes[static_cast<std::size_t>(l)].epilogueInduced);
@@ -214,21 +213,6 @@ TEST(Dependence, OverlappingOutputWindowClassifiesSequential)
     priv.addOp(pop);
     const ConcurrencyTable privTable = analyzeConcurrency(priv, tiles);
     EXPECT_EQ(privTable.kindOf(poh), AxisConcurrency::Parallel);
-}
-
-TEST(Dependence, NamesRoundTripAndRejectUnknownKinds)
-{
-    EXPECT_STREQ(concurrencyName(AxisConcurrency::Parallel), "parallel");
-    EXPECT_STREQ(concurrencyName(AxisConcurrency::Reduction), "reduction");
-    EXPECT_STREQ(concurrencyName(AxisConcurrency::Sequential),
-                 "sequential");
-    for (AxisConcurrency kind :
-         {AxisConcurrency::Parallel, AxisConcurrency::Reduction,
-          AxisConcurrency::Sequential}) {
-        EXPECT_EQ(concurrencyFromName(concurrencyName(kind), "test"),
-                  kind);
-    }
-    EXPECT_THROW(concurrencyFromName("concurrent", "test"), Error);
 }
 
 TEST(Dependence, SummaryListsEveryAxisInOrder)

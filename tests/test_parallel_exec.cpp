@@ -514,10 +514,27 @@ TEST(ParallelExec, RaceCheckCleanOnCnnStageChains)
     }
 }
 
+/**
+ * @p text's plan with @p axis hand-set Parallel in its concurrency
+ * table: a mis-declaration no document can express any more (tables
+ * are derived on load), seeded in memory.
+ */
+plan::ExecutionPlan
+misdeclaredParallel(const ir::Chain &chain, const std::string &text,
+                    const std::string &axis)
+{
+    plan::ExecutionPlan plan = plan::deserializePlan(chain, text);
+    auto &kind = plan.concurrency[static_cast<std::size_t>(
+        ir::axisIdByName(chain, axis))];
+    EXPECT_NE(kind, analysis::AxisConcurrency::Parallel);
+    kind = analysis::AxisConcurrency::Parallel;
+    return plan;
+}
+
 TEST(ParallelExec, SeededRaceInGemmPlanDetectedSerially)
 {
-    // A plan document mis-declaring the contracted axis l as parallel:
-    // the executor honors the declared table, and the task-keyed shadow
+    // A plan mis-declaring the contracted axis l as parallel: the
+    // executor honors the plan's table, and the task-keyed shadow
     // memory must observe the conflicting writers even in a fully
     // serial run (a genuinely racy schedule is never executed
     // multithreaded just to prove it races).
@@ -528,13 +545,13 @@ TEST(ParallelExec, SeededRaceInGemmPlanDetectedSerially)
     cfg.k = 64;
     cfg.l = 64;
     const ir::Chain chain = ir::makeGemmChain(cfg);
-    const plan::ExecutionPlan plan = plan::deserializePlan(
-        chain,
-        "chimera-plan v2\n"
-        "chain: check-gemm-chain\n"
-        "order: m,l,k,n\n"
-        "tiles: m=16 n=16 k=16 l=16\n"
-        "concurrency: m=parallel n=parallel k=reduction l=parallel\n");
+    const plan::ExecutionPlan plan =
+        misdeclaredParallel(chain,
+                            "chimera-plan v2\n"
+                            "chain: check-gemm-chain\n"
+                            "order: m,l,k,n\n"
+                            "tiles: m=16 n=16 k=16 l=16\n",
+                            "l");
 
     Tensor a(gemmChainShapeA(cfg));
     Tensor b(gemmChainShapeB(cfg));
@@ -567,16 +584,14 @@ TEST(ParallelExec, SeededRaceInConvPlanDetectedSerially)
     // oc1 is contracted by the second convolution; declaring it
     // parallel (with two oc1 blocks) makes distinct tasks accumulate
     // into the same output elements.
-    const plan::ExecutionPlan plan = plan::deserializePlan(
+    const plan::ExecutionPlan plan = misdeclaredParallel(
         chain,
         "chimera-plan v2\n"
         "chain: check-conv-chain\n"
         "order: oh,ow,oc1,oc2,ic,kh2,kw2,kh1,kw1\n"
         "tiles: oc2=16 oh=16 ow=16 oc1=8 ic=16 kh2=3 kw2=3 kh1=3 "
-        "kw1=3\n"
-        "concurrency: oc2=parallel oh=parallel ow=parallel oc1=parallel "
-        "ic=reduction kh2=reduction kw2=reduction kh1=reduction "
-        "kw1=reduction\n");
+        "kw1=3\n",
+        "oc1");
 
     Tensor input(convChainShapeI(cfg));
     Tensor w1(convChainShapeW1(cfg));

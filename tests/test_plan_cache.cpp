@@ -15,8 +15,11 @@
 #include <thread>
 #include <vector>
 
+#include "exec/constraints.hpp"
+#include "exec/gemm_chain3_exec.hpp"
 #include "hw/machines.hpp"
 #include "ir/builders.hpp"
+#include "kernels/micro_kernel.hpp"
 #include "plan/plan_cache.hpp"
 #include "plan/plan_io.hpp"
 #include "support/error.hpp"
@@ -94,31 +97,123 @@ TEST(PlanCache, ColdMissThenWarmMemoryHit)
     EXPECT_EQ(warm.memUsageBytes, cold.memUsageBytes);
 }
 
+/** One fixture chain of the round-trip sweep and how it is planned. */
+struct RoundTripCase
+{
+    std::string name;
+    ir::Chain chain;
+    solver::TileConstraints constraints;
+};
+
+std::vector<RoundTripCase>
+roundTripCases()
+{
+    const kernels::MicroKernel &kernel =
+        kernels::MicroKernelRegistry::instance().select(detectSimdTier());
+    std::vector<RoundTripCase> cases;
+    for (const ir::Epilogue epilogue :
+         {ir::Epilogue::None, ir::Epilogue::Softmax}) {
+        ir::GemmChainConfig cfg;
+        cfg.batch = 4;
+        cfg.m = 128;
+        cfg.n = 64;
+        cfg.k = 64;
+        cfg.l = 128;
+        cfg.epilogue = epilogue;
+        cfg.name = epilogue == ir::Epilogue::None ? "rt-gemm"
+                                                  : "rt-gemm-softmax";
+        const ir::Chain chain = ir::makeGemmChain(cfg);
+        cases.push_back(
+            {cfg.name, chain, exec::cpuChainConstraints(chain, kernel)});
+    }
+    for (const ir::Epilogue epilogue :
+         {ir::Epilogue::None, ir::Epilogue::Softmax}) {
+        ir::GemmChain3Config cfg;
+        cfg.batch = 2;
+        cfg.m = 128;
+        cfg.n = 64;
+        cfg.k = 64;
+        cfg.l = 128;
+        cfg.p = 32;
+        cfg.epilogue = epilogue;
+        cfg.name = epilogue == ir::Epilogue::None ? "rt-gemm3" : "rt-attn4";
+        const ir::Chain chain = ir::makeGemmChain3(cfg);
+        cases.push_back(
+            {cfg.name, chain, exec::gemmChain3Constraints(chain, kernel)});
+    }
+    ir::ConvChainConfig conv;
+    conv.batch = 1;
+    conv.ic = 16;
+    conv.h = 28;
+    conv.w = 28;
+    conv.oc1 = 32;
+    conv.oc2 = 32;
+    conv.name = "rt-conv";
+    const ir::Chain convChain = ir::makeConvChain(conv);
+    cases.push_back({conv.name, convChain,
+                     exec::cpuChainConstraints(convChain, kernel)});
+    return cases;
+}
+
+/** Everything a loaded plan re-derives must equal the planned plan's. */
+void
+expectSameDerivedFacts(const ExecutionPlan &got, const ExecutionPlan &want,
+                       const std::string &what)
+{
+    EXPECT_EQ(got.concurrency, want.concurrency) << what;
+    EXPECT_EQ(got.plannedThreads, want.plannedThreads) << what;
+    EXPECT_EQ(got.parallelGrain, want.parallelGrain) << what;
+    EXPECT_DOUBLE_EQ(got.predictedVolumeBytes, want.predictedVolumeBytes)
+        << what;
+    EXPECT_EQ(got.memUsageBytes, want.memUsageBytes) << what;
+    EXPECT_EQ(got.safety.certified, want.safety.certified) << what;
+    EXPECT_EQ(got.safety.domain, want.safety.domain) << what;
+    EXPECT_EQ(got.safety.rules, want.safety.rules) << what;
+    EXPECT_EQ(got.candidatesExamined, 0) << what;
+    EXPECT_EQ(got.search.solved, 0) << what;
+}
+
 TEST(PlanCache, WarmDiskHitAcrossInstances)
 {
-    const ir::Chain chain = chainUnderTest();
-    PlannerOptions options = optionsUnderTest();
-    const std::string dir = freshDir("disk");
+    // The same plan three ways — planned cold, read back from the
+    // memory tier, and loaded from disk by a new instance (a new
+    // process, in deployment) — must print byte-identically and
+    // re-derive identical facts from the decisions-only document.
+    for (const RoundTripCase &c : roundTripCases()) {
+        for (const int execThreads : {1, 4}) {
+            const std::string what =
+                c.name + " execThreads " + std::to_string(execThreads);
+            PlannerOptions options = optionsUnderTest();
+            options.memCapacityBytes = 256.0 * 1024;
+            options.constraints = c.constraints;
+            options.execThreads = execThreads;
+            if (execThreads > 1) {
+                options.topology = hw::multicoreCpuTopology();
+            }
+            const std::string dir = freshDir("disk-" + c.name);
 
-    ExecutionPlan cold;
-    {
-        PlanCache writer(dir);
-        options.cache = &writer;
-        cold = planChain(chain, options);
-        EXPECT_GT(cold.candidatesExamined, 0);
+            PlanCache writer(dir);
+            options.cache = &writer;
+            const ExecutionPlan cold = planChain(c.chain, options);
+            EXPECT_GT(cold.candidatesExamined, 0) << what;
+            EXPECT_TRUE(cold.safety.certified) << what;
+            const ExecutionPlan memory = planChain(c.chain, options);
+            EXPECT_EQ(writer.stats().memoryHits, 1) << what;
+            ASSERT_TRUE(fs::exists(onlyEntry(dir))) << what;
+
+            PlanCache reader(dir);
+            options.cache = &reader;
+            const ExecutionPlan disk = planChain(c.chain, options);
+            EXPECT_EQ(reader.stats().diskHits, 1) << what;
+            EXPECT_EQ(reader.stats().misses, 0) << what;
+
+            const std::string printed = serializePlan(c.chain, cold);
+            EXPECT_EQ(serializePlan(c.chain, memory), printed) << what;
+            EXPECT_EQ(serializePlan(c.chain, disk), printed) << what;
+            expectSameDerivedFacts(memory, cold, what + " (memory)");
+            expectSameDerivedFacts(disk, cold, what + " (disk)");
+        }
     }
-    ASSERT_TRUE(fs::exists(onlyEntry(dir)));
-
-    // A new instance (a new process, in deployment) hits the disk tier.
-    PlanCache reader(dir);
-    options.cache = &reader;
-    const ExecutionPlan warm = planChain(chain, options);
-    EXPECT_EQ(warm.candidatesExamined, 0);
-    EXPECT_EQ(reader.stats().diskHits, 1);
-    EXPECT_EQ(reader.stats().misses, 0);
-    EXPECT_EQ(warm.perm, cold.perm);
-    EXPECT_EQ(warm.tiles, cold.tiles);
-    EXPECT_DOUBLE_EQ(warm.predictedVolumeBytes, cold.predictedVolumeBytes);
 }
 
 TEST(PlanCache, CorruptEntryFallsBackToReplanning)

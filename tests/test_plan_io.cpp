@@ -1,14 +1,17 @@
 /**
  * @file
- * Tests for plan serialization: round trips, validation against the
- * binding chain, v1 compatibility, and rejection of malformed,
- * truncated, duplicated or stale documents — always as chimera::Error,
+ * Tests for plan serialization: round trips of the decisions with every
+ * derived fact recomputed on load, validation against the binding
+ * chain, v1 compatibility, and rejection of malformed, truncated,
+ * duplicated or retired-format documents — always as chimera::Error,
  * never as a raw std:: exception.
  */
 
 #include <gtest/gtest.h>
 
+#include "analysis/dependence.hpp"
 #include "ir/builders.hpp"
+#include "model/data_movement.hpp"
 #include "plan/plan_io.hpp"
 #include "support/error.hpp"
 
@@ -109,16 +112,20 @@ TEST(PlanIo, FingerprintRoundTripAndMismatch)
 
 TEST(PlanIo, StalePredictionsAreRecomputed)
 {
-    // Tamper with the volume field: deserialization must not trust it.
+    // The document stores no predictions, so none can go stale: the
+    // loader derives them from the decisions, for a hand-written
+    // document as much as for a planned one.
     const ir::Chain chain = chainUnderTest();
     const ExecutionPlan plan = planUnderTest(chain);
-    std::string text = serializePlan(chain, plan);
-    const std::size_t pos = text.find("volume-bytes:");
-    ASSERT_NE(pos, std::string::npos);
-    text.replace(pos, text.find('\n', pos) - pos, "volume-bytes: 1");
-    const ExecutionPlan restored = deserializePlan(chain, text);
-    EXPECT_DOUBLE_EQ(restored.predictedVolumeBytes,
-                     plan.predictedVolumeBytes);
+    EXPECT_EQ(serializePlan(chain, plan).find("bytes"), std::string::npos);
+    const ExecutionPlan restored =
+        deserializePlan(chain, documentWithTiles(chain, "b=1 m=8 n=8 "
+                                                        "k=8 l=8"));
+    const model::DataMovement dm =
+        model::computeDataMovement(chain, restored.perm, restored.tiles);
+    EXPECT_DOUBLE_EQ(restored.predictedVolumeBytes, dm.volumeBytes);
+    EXPECT_EQ(restored.memUsageBytes, dm.memUsageBytes);
+    EXPECT_NE(restored.memUsageBytes, plan.memUsageBytes);
 }
 
 TEST(PlanIo, RejectsWrongHeader)
@@ -164,19 +171,11 @@ TEST(PlanIo, RejectsMalformedNumericsAsChimeraError)
                                 chain, "m=99999999999999999999999999")),
                  Error);
 
-    std::string text = serializePlan(chain, planUnderTest(chain));
-    std::string bad = text;
-    bad.replace(bad.find("volume-bytes:"),
-                bad.find('\n', bad.find("volume-bytes:")) -
-                    bad.find("volume-bytes:"),
-                "volume-bytes: abc");
-    EXPECT_THROW(deserializePlan(chain, bad), Error);
-    bad = text;
-    bad.replace(bad.find("mem-bytes:"),
-                bad.find('\n', bad.find("mem-bytes:")) -
-                    bad.find("mem-bytes:"),
-                "mem-bytes: 64abc");
-    EXPECT_THROW(deserializePlan(chain, bad), Error);
+    const std::string text = serializePlan(chain, planUnderTest(chain));
+    EXPECT_THROW(deserializePlan(chain, text + "threads: abc\n"), Error);
+    EXPECT_THROW(
+        deserializePlan(chain, text + "threads: 4\ngrain: m=64abc\n"),
+        Error);
 }
 
 TEST(PlanIo, MalformedNumericErrorsNameTheLine)
@@ -205,7 +204,7 @@ TEST(PlanIo, RejectsDuplicateKeys)
 {
     const ir::Chain chain = chainUnderTest();
     std::string text = serializePlan(chain, planUnderTest(chain));
-    text += "mem-bytes: 1\n";
+    text += "order: b,m,l,k,n\n";
     EXPECT_THROW(deserializePlan(chain, text), Error);
 }
 
@@ -234,10 +233,29 @@ TEST(PlanIo, RejectsOutOfRangeTiles)
 
 TEST(PlanIo, RejectsUnknownKeys)
 {
+    // The retired derived-fact lines are unknown keys too: a cache entry
+    // written in the older format fails to load and gets replanned.
     const ir::Chain chain = chainUnderTest();
-    std::string text = serializePlan(chain, planUnderTest(chain));
-    text += "mystery: 1\n";
-    EXPECT_THROW(deserializePlan(chain, text), Error);
+    const std::string text = serializePlan(chain, planUnderTest(chain));
+    for (const char *line :
+         {"mystery: 1",
+          "concurrency: b=parallel m=parallel n=parallel k=reduction "
+          "l=reduction",
+          "safety: domain=concrete rules=sb01,sb02,sb03,sb04 "
+          "digest=0123456789abcdef",
+          "search: mode=symmetry enumerated=120 truncated=0 filtered=10 "
+          "symmetry=100 dominance=0 beam=0 solved=10 gap=0 "
+          "digest=0123456789abcdef",
+          "volume-bytes: 6291456", "mem-bytes: 393216"}) {
+        try {
+            (void)deserializePlan(chain, text + line + "\n");
+            ADD_FAILURE() << "accepted: " << line;
+        } catch (const Error &e) {
+            EXPECT_NE(std::string(e.what()).find("unknown plan key"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(PlanIo, RejectsKeylessLines)
@@ -248,94 +266,30 @@ TEST(PlanIo, RejectsKeylessLines)
     EXPECT_THROW(deserializePlan(chain, text), Error);
 }
 
-/** Serialized document with the "concurrency:" line's value replaced. */
-std::string
-documentWithConcurrency(const ir::Chain &chain, const std::string &value)
-{
-    std::string text = serializePlan(chain, planUnderTest(chain));
-    const std::size_t pos = text.find("concurrency:");
-    EXPECT_NE(pos, std::string::npos);
-    const std::size_t eol = text.find('\n', pos);
-    if (value.empty()) {
-        text.erase(pos, eol - pos + 1);
-    } else {
-        text.replace(pos, eol - pos, "concurrency: " + value);
-    }
-    return text;
-}
-
 TEST(PlanIo, ConcurrencyTableRoundTrips)
 {
+    // The table is derived, not stored: the loader recomputes the
+    // planner's table from the document's tiles.
     const ir::Chain chain = chainUnderTest();
     const ExecutionPlan plan = planUnderTest(chain);
     const std::string text = serializePlan(chain, plan);
-    EXPECT_NE(text.find("concurrency:"), std::string::npos);
+    EXPECT_EQ(text.find("concurrency:"), std::string::npos);
     const ExecutionPlan restored = deserializePlan(chain, text);
+    ASSERT_EQ(static_cast<int>(plan.concurrency.size()), chain.numAxes());
     EXPECT_EQ(restored.concurrency, plan.concurrency);
 }
 
 TEST(PlanIo, MissingConcurrencyFallsBackToFreshAnalysis)
 {
-    // v2 docs without the line (and every v1 doc) load with the table
-    // re-derived from the chain, so older cache entries stay usable.
+    // A hand-written document gets the dependence analysis of its own
+    // tiles (every v1 document and every cache entry loads this way).
     const ir::Chain chain = chainUnderTest();
-    const ExecutionPlan plan = planUnderTest(chain);
-    const ExecutionPlan restored =
-        deserializePlan(chain, documentWithConcurrency(chain, ""));
-    EXPECT_EQ(restored.concurrency, plan.concurrency);
-}
-
-TEST(PlanIo, RejectsConcurrencyWithUnknownAxis)
-{
-    const ir::Chain chain = chainUnderTest();
-    EXPECT_THROW(deserializePlan(
-                     chain, documentWithConcurrency(
-                                chain,
-                                "b=parallel m=parallel n=parallel "
-                                "k=reduction l=reduction q=parallel")),
-                 Error);
-}
-
-TEST(PlanIo, RejectsConcurrencyWithUnknownKind)
-{
-    const ir::Chain chain = chainUnderTest();
-    EXPECT_THROW(deserializePlan(
-                     chain, documentWithConcurrency(
-                                chain,
-                                "b=parallel m=concurrent n=parallel "
-                                "k=reduction l=reduction")),
-                 Error);
-}
-
-TEST(PlanIo, RejectsDuplicateConcurrencyAxes)
-{
-    const ir::Chain chain = chainUnderTest();
-    EXPECT_THROW(deserializePlan(
-                     chain, documentWithConcurrency(
-                                chain,
-                                "b=parallel m=parallel m=parallel "
-                                "k=reduction l=reduction")),
-                 Error);
-}
-
-TEST(PlanIo, RejectsIncompleteConcurrency)
-{
-    const ir::Chain chain = chainUnderTest();
-    EXPECT_THROW(
-        deserializePlan(chain, documentWithConcurrency(
-                                   chain, "b=parallel m=parallel")),
-        Error);
-}
-
-TEST(PlanIo, RejectsMalformedConcurrencyTokens)
-{
-    const ir::Chain chain = chainUnderTest();
-    for (const char *value : {"=parallel", "m=", "parallel"}) {
-        EXPECT_THROW(deserializePlan(
-                         chain, documentWithConcurrency(chain, value)),
-                     Error)
-            << value;
-    }
+    const std::vector<std::int64_t> tiles = {1, 8, 8, 8, 8};
+    const ExecutionPlan restored = deserializePlan(
+        chain, documentWithTiles(chain, "b=1 m=8 n=8 k=8 l=8"));
+    ASSERT_EQ(restored.tiles, tiles);
+    EXPECT_EQ(restored.concurrency,
+              analysis::analyzeConcurrency(chain, tiles).kinds());
 }
 
 TEST(PlanIo, SerialPlanDocumentOmitsChunkingLines)
@@ -391,24 +345,6 @@ TEST(PlanIo, RejectsMalformedChunking)
         Error);
     // Non-positive thread count.
     EXPECT_THROW(deserializePlan(chain, base + "threads: 0\n"), Error);
-}
-
-TEST(PlanIo, HonorsDeclaredConcurrencyOverDerived)
-{
-    // A deliberately mis-declared (but well-formed) table must survive
-    // the load: the race checker exists to observe what a tampered
-    // document actually does, so the loader binds it rather than
-    // silently repairing it. chimera-check flags it via DP02.
-    const ir::Chain chain = chainUnderTest();
-    const ExecutionPlan plan = planUnderTest(chain);
-    const ExecutionPlan restored = deserializePlan(
-        chain, documentWithConcurrency(chain,
-                                       "b=parallel m=parallel n=parallel "
-                                       "k=reduction l=parallel"));
-    EXPECT_NE(restored.concurrency, plan.concurrency);
-    EXPECT_EQ(restored.concurrency[static_cast<std::size_t>(
-                  ir::axisIdByName(chain, "l"))],
-              analysis::AxisConcurrency::Parallel);
 }
 
 } // namespace

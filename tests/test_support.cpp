@@ -239,6 +239,17 @@ TEST(Str, FormatVector)
     EXPECT_EQ(formatVector({}), "()");
 }
 
+TEST(Str, ParseIntStrictRejectsWhatAtoiAccepts)
+{
+    EXPECT_EQ(parseIntStrict("42", "test"), 42);
+    EXPECT_EQ(parseIntStrict("-7", "test"), -7);
+    // atoi reads each of these as a number instead of failing.
+    for (const char *bad : {"", "abc", "8x", "2147483648", "-2147483649"}) {
+        EXPECT_THROW((void)parseIntStrict(bad, "test"), Error) << bad;
+    }
+    EXPECT_EQ(parseInt64Strict("2147483648", "test"), 2147483648LL);
+}
+
 TEST(Timer, MeasuresElapsedTime)
 {
     WallTimer t;

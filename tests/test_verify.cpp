@@ -377,23 +377,26 @@ TEST(PlanVerifier, FlagsTamperedDocument)
     plan::PlannerOptions po;
     po.memCapacityBytes = 32.0 * 1024;
     const plan::ExecutionPlan plan = plan::planChain(chain, po);
-    std::string text = plan::serializePlan(chain, plan, "aaaabbbbccccdddd");
-
-    // Tamper the declared volume.
-    const std::size_t pos = text.find("volume-bytes: ");
-    ASSERT_NE(pos, std::string::npos);
-    const std::size_t eol = text.find('\n', pos);
-    text.replace(pos, eol - pos, "volume-bytes: 7");
-
+    const std::string text =
+        plan::serializePlan(chain, plan, "aaaabbbbccccdddd");
     const plan::ParsedPlanDoc doc = plan::parsePlanDocument(text);
-    PlanVerifyOptions vo = planVerifyOptions(po);
+    const PlanVerifyOptions vo = planVerifyOptions(po);
     Report report = verifyPlanDocument(chain, doc, "aaaabbbbccccdddd", vo);
-    EXPECT_TRUE(report.hasRule("PL08")) << report.render();
-    EXPECT_FALSE(report.hasRule("PL10")) << report.render();
+    EXPECT_FALSE(report.hasErrors()) << report.render();
 
     // A fingerprint that does not match the expected key.
     report = verifyPlanDocument(chain, doc, "ffffffffffffffff", vo);
     EXPECT_TRUE(report.hasRule("PL10")) << report.render();
+
+    // Tiles swapped for full extents: legal-looking, but over capacity.
+    std::string tampered = text;
+    const std::size_t pos = tampered.find("tiles: ");
+    ASSERT_NE(pos, std::string::npos);
+    tampered.replace(pos, tampered.find('\n', pos) - pos,
+                     "tiles: b=4 m=64 n=32 k=16 l=48");
+    report = verifyPlanDocument(chain, plan::parsePlanDocument(tampered),
+                                "aaaabbbbccccdddd", vo);
+    EXPECT_TRUE(report.hasRule("PL07")) << report.render();
 }
 
 TEST(PlanVerifier, ThreadAwareWinnersVerifyClean)

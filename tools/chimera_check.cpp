@@ -4,30 +4,23 @@
  *
  * Describes a chain the same way chimera-plan does, audits the chain IR
  * (rules CH01-CH07), then audits either a plan document supplied with
- * --plan or the planner's own winning schedule (rules PL01-PL12 plus
- * the DP01-DP06 concurrency rules), and optionally the micro-kernel
- * register tile (KP01-KP03). Prints every finding as "severity: [rule]
- * location: message" and exits non-zero when any error-severity finding
- * was reported.
+ * --plan or the planner's own winning schedule (rules PL01-PL13), and
+ * optionally the micro-kernel register tile (KP01-KP03). Prints every
+ * finding as "severity: [rule] location: message" and exits non-zero
+ * when any error-severity finding was reported.
  *
- * With --race the tool additionally *executes* the fused chain (gemm
- * and conv modes only) under a shadow-memory race checker: every block
+ * With --race the tool additionally *executes* the fused chain (gemm,
+ * gemm3 and conv modes) under a shadow-memory race checker: every block
  * task tags the output elements it writes, and two distinct tasks
  * claiming the same element is reported as rule RC01. Detection is
- * keyed on the deterministic block-task index, so the suspect plan is
- * run serially — a mis-declared parallel axis is caught without ever
- * racing for real. This is the dynamic complement of the static DP
- * rules: DP02 says the declared table disagrees with the analysis,
- * RC01 says the disagreement produces conflicting writers in practice.
+ * keyed on the deterministic block-task index, so the plan is run
+ * serially — a racy schedule is caught without ever racing for real.
  *
- * With --search the tool replays the planner's pruned order search
- * against exhaustive enumeration (rules OE01-OE04,
- * src/verify/search_verifier.hpp): exact pruning modes must select the
- * bitwise-identical plan, sampled symmetry-class members must solve
- * identically to their representatives, every solved order must respect
- * its certified lower bound, and beam mode's optimality-gap bound must
- * cover the exhaustive optimum. --prune picks the audited mode
- * (none/symmetry/dominance/beam, default dominance).
+ * With --search the tool replays the planner's symmetry-pruned order
+ * search against exhaustive enumeration (rule OE01,
+ * src/verify/search_verifier.hpp): pruning must select the
+ * bitwise-identical plan, and sampled symmetry-class members must solve
+ * identically to their representatives.
  *
  * With --static the tool runs the symbolic plan-safety analyzer (rules
  * SB01-SB04, src/analysis/static_safety.hpp) on the resolved plan:
@@ -55,21 +48,19 @@
  *   --race               execute the fused chain under the shadow-memory
  *                        race checker (gemm/conv only; rule RC01)
  *   --search             replay the pruned order search against
- *                        exhaustive enumeration (OE01-OE04)
- *   --prune <mode>       pruning mode for --search: none, symmetry,
- *                        dominance (default), or beam
- *   --beam-width <N>     beam width when --prune beam (default 8)
+ *                        exhaustive enumeration (OE01)
  *   --static             run the symbolic safety analyzer (SB01-SB04)
  *   --domain axis=max    widen one axis of the --static shape domain to
  *                        [1, max] (repeatable)
  *
  * Exit status: 0 clean (warnings allowed), 1 rule violations found,
- * 2 usage or IO failure (unreadable plan file, bad --domain axis, ...).
+ * 2 usage or IO failure (unreadable plan file, bad --domain axis, a
+ * malformed number, ...).
  */
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cmath>
 #include <functional>
 #include <map>
 #include <optional>
@@ -87,6 +78,7 @@
 #include "plan/planner.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
+#include "support/str.hpp"
 #include "verify/chain_verifier.hpp"
 #include "verify/plan_verifier.hpp"
 #include "verify/safety_verifier.hpp"
@@ -107,10 +99,8 @@ struct CliOptions
     int threads = 0;
     bool race = false;
     bool search = false;
-    analysis::PruneMode prune = analysis::PruneMode::Dominance;
-    int beamWidth = 8;
-    bool staticSafety = false;
-    std::map<std::string, std::int64_t> safetyDomain; // axis -> max
+    bool staticCheck = false;
+    std::map<std::string, std::int64_t> staticDomain; // axis -> max
 };
 
 /** Executes one planned schedule under a RaceChecker; empty for dsl. */
@@ -131,8 +121,8 @@ usage()
         " [options]\n"
         "options: --plan <file> --fingerprint <hex> --capacity <bytes>"
         " --softmax --relu --registers <N> --no-recount --threads <N>"
-        " --race (gemm/conv only) --search --prune <mode>"
-        " --beam-width <N> --static --domain axis=max\n");
+        " --race (gemm/gemm3/conv) --search --static"
+        " --domain axis=max\n");
     std::exit(2);
 }
 
@@ -147,33 +137,21 @@ parseOptions(int argc, char **argv, int firstOption)
         } else if (arg == "--fingerprint" && i + 1 < argc) {
             options.fingerprint = argv[++i];
         } else if (arg == "--capacity" && i + 1 < argc) {
-            options.capacityBytes = std::atof(argv[++i]);
+            options.capacityBytes = parseDoubleStrict(argv[++i], arg);
         } else if (arg == "--softmax") {
             options.epilogue = ir::Epilogue::Softmax;
         } else if (arg == "--relu") {
             options.epilogue = ir::Epilogue::Relu;
         } else if (arg == "--registers" && i + 1 < argc) {
-            options.registers = std::atoi(argv[++i]);
+            options.registers = parseIntStrict(argv[++i], arg);
         } else if (arg == "--no-recount") {
             options.recount = false;
         } else if (arg == "--race") {
             options.race = true;
         } else if (arg == "--search") {
             options.search = true;
-        } else if (arg == "--prune" && i + 1 < argc) {
-            const std::optional<analysis::PruneMode> mode =
-                analysis::parsePruneMode(argv[++i]);
-            if (!mode) {
-                usage();
-            }
-            options.prune = *mode;
-        } else if (arg == "--beam-width" && i + 1 < argc) {
-            options.beamWidth = std::atoi(argv[++i]);
-            if (options.beamWidth < 1) {
-                usage();
-            }
         } else if (arg == "--static") {
-            options.staticSafety = true;
+            options.staticCheck = true;
         } else if (arg == "--domain" && i + 1 < argc) {
             const std::string spec = argv[++i];
             const std::size_t eq = spec.find('=');
@@ -182,13 +160,13 @@ parseOptions(int argc, char **argv, int firstOption)
                 usage();
             }
             const std::int64_t maxExtent =
-                std::atoll(spec.c_str() + eq + 1);
+                parseInt64Strict(spec.substr(eq + 1), arg);
             if (maxExtent < 1) {
                 usage();
             }
-            options.safetyDomain[spec.substr(0, eq)] = maxExtent;
+            options.staticDomain[spec.substr(0, eq)] = maxExtent;
         } else if (arg == "--threads" && i + 1 < argc) {
-            options.threads = std::atoi(argv[++i]);
+            options.threads = parseIntStrict(argv[++i], arg);
         } else {
             usage();
         }
@@ -307,7 +285,7 @@ runStaticSafety(const ir::Chain &chain, const plan::ExecutionPlan &plan,
     so.memCapacityBytes = options.capacityBytes;
     so.workers = std::max(1, options.threads);
     std::string spec;
-    for (const auto &[axis, maxExtent] : options.safetyDomain) {
+    for (const auto &[axis, maxExtent] : options.staticDomain) {
         if (!spec.empty()) {
             spec += ",";
         }
@@ -317,9 +295,9 @@ runStaticSafety(const ir::Chain &chain, const plan::ExecutionPlan &plan,
     analysis::SafetyAnalysis analysis;
     report.merge(verify::verifyPlanSafety(chain, plan, so, &analysis));
     if (analysis.certificate.certified) {
-        std::printf("static-safety: certified domain=%s digest=%s\n",
+        std::printf("static-safety: certified domain=%s rules=%s\n",
                     analysis.certificate.domain.c_str(),
-                    analysis.certificate.digest.c_str());
+                    analysis.certificate.rules.c_str());
     } else {
         std::printf("static-safety: refuted domain=%s (%zu"
                     " violation(s))\n",
@@ -338,9 +316,9 @@ runStaticSafety(const ir::Chain &chain, const plan::ExecutionPlan &plan,
 /**
  * The --search pass: replays the pruned order search against exhaustive
  * enumeration (verify::replaySearch) and prints both outcomes plus the
- * search-stats line of the pruned run. OE01-OE04 findings land in
- * @p report; a planner failure is an environment problem and exits 2
- * through main's catch.
+ * search stats of the pruned run. OE01 findings land in @p report; a
+ * planner failure is an environment problem and exits 2 through main's
+ * catch.
  */
 void
 runSearchReplay(const ir::Chain &chain,
@@ -351,33 +329,26 @@ runSearchReplay(const ir::Chain &chain,
     po.memCapacityBytes = options.capacityBytes;
     po.constraints = constraints;
     po.threads = options.threads;
-    po.prune = options.prune;
-    po.beamWidth = options.beamWidth;
     const verify::SearchReplay replay =
         verify::replaySearch(chain, po);
     const analysis::SearchStats &s = replay.pruned.search;
     std::printf(
         "search: mode=%s order %s — solved %lld of %lld enumerated"
-        " (filtered %lld, symmetry %lld, dominance %lld, beam %lld%s)\n",
-        analysis::pruneModeName(s.mode),
+        " (filtered %lld, symmetry %lld%s)\n",
+        analysis::pruneModeName(po.prune),
         plan::orderString(chain, replay.pruned.perm).c_str(),
         static_cast<long long>(s.solved),
         static_cast<long long>(s.enumerated),
         static_cast<long long>(s.filtered),
         static_cast<long long>(s.symmetryPruned),
-        static_cast<long long>(s.dominancePruned),
-        static_cast<long long>(s.beamPruned),
         s.truncated ? "; truncated" : "");
     std::printf(
         "search: exhaustive order %s — solved %lld of %lld enumerated\n",
         plan::orderString(chain, replay.exhaustive.perm).c_str(),
         static_cast<long long>(replay.exhaustive.search.solved),
         static_cast<long long>(replay.exhaustive.search.enumerated));
-    if (s.mode == analysis::PruneMode::Beam) {
-        std::printf("search: beam gap bound %lld bytes\n",
-                    static_cast<long long>(s.gapBoundBytes));
-    } else if (replay.pruned.perm == replay.exhaustive.perm &&
-               replay.pruned.tiles == replay.exhaustive.tiles) {
+    if (replay.pruned.perm == replay.exhaustive.perm &&
+        replay.pruned.tiles == replay.exhaustive.tiles) {
         std::printf("search: pruned and exhaustive argmin agree\n");
     }
     report.merge(replay.report);
@@ -397,9 +368,8 @@ reportRaceFindings(const analysis::RaceChecker &checker,
 
 /**
  * The plan the dynamic race scan should execute: the --plan document
- * when given (deliberately loaded through deserializePlan, which keeps
- * a mis-declared concurrency table so the scan can observe it), else a
- * fresh planner run. Throws on unreadable/unbindable documents.
+ * when given, else a fresh planner run. Throws on unreadable/unbindable
+ * documents.
  */
 plan::ExecutionPlan
 planForRaceScan(const ir::Chain &chain,
@@ -431,8 +401,8 @@ run(const ir::Chain &chain, const solver::TileConstraints &constraints,
 
     if (options.race && !raceScan) {
         std::fprintf(stderr,
-                     "--race needs an executable chain (gemm or conv"
-                     " mode)\n");
+                     "--race needs an executable chain (gemm, gemm3 or"
+                     " conv mode)\n");
         usage();
     }
 
@@ -443,14 +413,14 @@ run(const ir::Chain &chain, const solver::TileConstraints &constraints,
         std::printf("chain IR is ill-formed; skipping plan checks\n");
     } else if (!options.planFile.empty()) {
         report.merge(checkPlanFile(chain, options,
-                                   options.staticSafety ? &resolved
+                                   options.staticCheck ? &resolved
                                                         : nullptr));
     } else {
         report.merge(
             checkFreshPlan(chain, constraints, options, &resolved));
     }
 
-    if (options.staticSafety && !chainBroken) {
+    if (options.staticCheck && !chainBroken) {
         if (resolved) {
             runStaticSafety(chain, *resolved, options, report);
         } else {
@@ -515,11 +485,11 @@ main(int argc, char **argv)
             const CliOptions options = parseOptions(argc, argv, 7);
             ir::GemmChainConfig cfg;
             cfg.name = "check-gemm-chain";
-            cfg.batch = std::atoll(argv[2]);
-            cfg.m = std::atoll(argv[3]);
-            cfg.n = std::atoll(argv[4]);
-            cfg.k = std::atoll(argv[5]);
-            cfg.l = std::atoll(argv[6]);
+            cfg.batch = parseInt64Strict(argv[2], "batch");
+            cfg.m = parseInt64Strict(argv[3], "m");
+            cfg.n = parseInt64Strict(argv[4], "n");
+            cfg.k = parseInt64Strict(argv[5], "k");
+            cfg.l = parseInt64Strict(argv[6], "l");
             cfg.epilogue = options.epilogue;
             if (cfg.epilogue == ir::Epilogue::Softmax) {
                 cfg.softmaxScale =
@@ -554,12 +524,12 @@ main(int argc, char **argv)
             const CliOptions options = parseOptions(argc, argv, 8);
             ir::GemmChain3Config cfg;
             cfg.name = "check-gemm3-chain";
-            cfg.batch = std::atoll(argv[2]);
-            cfg.m = std::atoll(argv[3]);
-            cfg.n = std::atoll(argv[4]);
-            cfg.k = std::atoll(argv[5]);
-            cfg.l = std::atoll(argv[6]);
-            cfg.p = std::atoll(argv[7]);
+            cfg.batch = parseInt64Strict(argv[2], "batch");
+            cfg.m = parseInt64Strict(argv[3], "m");
+            cfg.n = parseInt64Strict(argv[4], "n");
+            cfg.k = parseInt64Strict(argv[5], "k");
+            cfg.l = parseInt64Strict(argv[6], "l");
+            cfg.p = parseInt64Strict(argv[7], "p");
             cfg.epilogue = options.epilogue;
             if (cfg.epilogue == ir::Epilogue::Softmax) {
                 cfg.softmaxScale =
@@ -596,16 +566,16 @@ main(int argc, char **argv)
             const CliOptions options = parseOptions(argc, argv, 12);
             ir::ConvChainConfig cfg;
             cfg.name = "check-conv-chain";
-            cfg.batch = std::atoll(argv[2]);
-            cfg.ic = std::atoll(argv[3]);
-            cfg.h = std::atoll(argv[4]);
-            cfg.w = std::atoll(argv[5]);
-            cfg.oc1 = std::atoll(argv[6]);
-            cfg.oc2 = std::atoll(argv[7]);
-            cfg.k1 = std::atoi(argv[8]);
-            cfg.k2 = std::atoi(argv[9]);
-            cfg.stride1 = std::atoi(argv[10]);
-            cfg.stride2 = std::atoi(argv[11]);
+            cfg.batch = parseInt64Strict(argv[2], "batch");
+            cfg.ic = parseInt64Strict(argv[3], "ic");
+            cfg.h = parseInt64Strict(argv[4], "h");
+            cfg.w = parseInt64Strict(argv[5], "w");
+            cfg.oc1 = parseInt64Strict(argv[6], "oc1");
+            cfg.oc2 = parseInt64Strict(argv[7], "oc2");
+            cfg.k1 = parseIntStrict(argv[8], "k1");
+            cfg.k2 = parseIntStrict(argv[9], "k2");
+            cfg.stride1 = parseIntStrict(argv[10], "stride1");
+            cfg.stride2 = parseIntStrict(argv[11], "stride2");
             cfg.epilogue = options.epilogue;
             const ir::Chain chain = ir::makeConvChain(cfg);
             const RaceScan scan =
@@ -646,7 +616,7 @@ main(int argc, char **argv)
                     usage();
                 }
                 extents[arg.substr(0, eq)] =
-                    std::atoll(arg.c_str() + eq + 1);
+                    parseInt64Strict(arg.substr(eq + 1), arg);
             }
             const CliOptions options =
                 parseOptions(argc, argv, firstOption);
@@ -657,9 +627,10 @@ main(int argc, char **argv)
         usage();
     } catch (const chimera::Error &e) {
         // Errors that escape to here are environment/usage failures
-        // (unreadable plan file, unknown --domain axis, chain-builder
-        // misuse) — not rule violations, which exit 1 above. CI and the
-        // sweep scripts rely on the distinction.
+        // (unreadable plan file, unknown --domain axis, a malformed
+        // number, chain-builder misuse) — not rule violations, which
+        // exit 1 above. CI and the sweep scripts rely on the
+        // distinction.
         std::fprintf(stderr, "error: %s\n", e.what());
         return 2;
     }

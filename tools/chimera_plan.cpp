@@ -26,6 +26,9 @@
  *                           JSON to chimera-plan-trace.json on exit
  *   --trace-out <file>      like --trace, to <file> (an unwritable
  *                           path is a usage error: exit 2)
+ *
+ * A malformed number anywhere on the command line is a usage error
+ * (exit 2); planning failures exit 1.
  */
 
 #include <cstdio>
@@ -107,6 +110,22 @@ usage()
     std::exit(2);
 }
 
+/**
+ * Reads one numeric argument with a strict parser from support/str.hpp;
+ * a malformed value is a usage error (exit 2), not a planning failure.
+ */
+template <typename Parse>
+auto
+numericArg(Parse parse, const std::string &text, const std::string &what)
+{
+    try {
+        return parse(text, what);
+    } catch (const Error &e) {
+        std::fprintf(stderr, "error: %s\n", e.what());
+        usage();
+    }
+}
+
 CliOptions
 parseOptions(int argc, char **argv, int firstOption)
 {
@@ -118,9 +137,10 @@ parseOptions(int argc, char **argv, int firstOption)
         } else if (arg == "--relu") {
             options.epilogue = ir::Epilogue::Relu;
         } else if (arg == "--capacity" && i + 1 < argc) {
-            options.capacityBytes = std::atof(argv[++i]);
+            options.capacityBytes =
+                numericArg(parseDoubleStrict, argv[++i], arg);
         } else if (arg == "--threads" && i + 1 < argc) {
-            options.threads = std::atoi(argv[++i]);
+            options.threads = numericArg(parseIntStrict, argv[++i], arg);
         } else if (arg == "--emit-c") {
             options.emitC = true;
         } else if (arg == "--emit-plan") {
@@ -242,11 +262,11 @@ main(int argc, char **argv)
             const CliOptions options = parseOptions(argc, argv, 7);
             ir::GemmChainConfig cfg;
             cfg.name = "cli-gemm-chain";
-            cfg.batch = std::atoll(argv[2]);
-            cfg.m = std::atoll(argv[3]);
-            cfg.n = std::atoll(argv[4]);
-            cfg.k = std::atoll(argv[5]);
-            cfg.l = std::atoll(argv[6]);
+            cfg.batch = numericArg(parseInt64Strict, argv[2], "batch");
+            cfg.m = numericArg(parseInt64Strict, argv[3], "m");
+            cfg.n = numericArg(parseInt64Strict, argv[4], "n");
+            cfg.k = numericArg(parseInt64Strict, argv[5], "k");
+            cfg.l = numericArg(parseInt64Strict, argv[6], "l");
             cfg.epilogue = options.epilogue;
             if (cfg.epilogue == ir::Epilogue::Softmax) {
                 cfg.softmaxScale =
@@ -276,16 +296,16 @@ main(int argc, char **argv)
             const CliOptions options = parseOptions(argc, argv, 12);
             ir::ConvChainConfig cfg;
             cfg.name = "cli-conv-chain";
-            cfg.batch = std::atoll(argv[2]);
-            cfg.ic = std::atoll(argv[3]);
-            cfg.h = std::atoll(argv[4]);
-            cfg.w = std::atoll(argv[5]);
-            cfg.oc1 = std::atoll(argv[6]);
-            cfg.oc2 = std::atoll(argv[7]);
-            cfg.k1 = std::atoi(argv[8]);
-            cfg.k2 = std::atoi(argv[9]);
-            cfg.stride1 = std::atoi(argv[10]);
-            cfg.stride2 = std::atoi(argv[11]);
+            cfg.batch = numericArg(parseInt64Strict, argv[2], "batch");
+            cfg.ic = numericArg(parseInt64Strict, argv[3], "ic");
+            cfg.h = numericArg(parseInt64Strict, argv[4], "h");
+            cfg.w = numericArg(parseInt64Strict, argv[5], "w");
+            cfg.oc1 = numericArg(parseInt64Strict, argv[6], "oc1");
+            cfg.oc2 = numericArg(parseInt64Strict, argv[7], "oc2");
+            cfg.k1 = numericArg(parseIntStrict, argv[8], "k1");
+            cfg.k2 = numericArg(parseIntStrict, argv[9], "k2");
+            cfg.stride1 = numericArg(parseIntStrict, argv[10], "stride1");
+            cfg.stride2 = numericArg(parseIntStrict, argv[11], "stride2");
             cfg.epilogue = options.epilogue;
             const ir::Chain chain = ir::makeConvChain(cfg);
             plan::PlannerOptions po;
@@ -321,7 +341,7 @@ main(int argc, char **argv)
                     usage();
                 }
                 extents[arg.substr(0, eq)] =
-                    std::atoll(arg.c_str() + eq + 1);
+                    numericArg(parseInt64Strict, arg.substr(eq + 1), arg);
             }
             const CliOptions options =
                 parseOptions(argc, argv, firstOption);

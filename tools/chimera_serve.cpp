@@ -50,6 +50,7 @@
 #include "obs/trace.hpp"
 #include "serve/server.hpp"
 #include "support/error.hpp"
+#include "support/str.hpp"
 
 namespace {
 
@@ -152,22 +153,32 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        // Strict numbers: a malformed value is a usage error (exit 2).
+        const auto number = [&](auto parse) {
+            const char *text = value();
+            try {
+                return parse(text, arg);
+            } catch (const Error &e) {
+                std::fprintf(stderr, "error: %s\n", e.what());
+                std::exit(2);
+            }
+        };
         if (arg == "--socket") {
             options.socketPath = value();
         } else if (arg == "--check") {
             check = true;
         } else if (arg == "--executors") {
-            options.executors = std::atoi(value());
+            options.executors = number(parseIntStrict);
         } else if (arg == "--exec-threads") {
-            options.execThreads = std::atoi(value());
+            options.execThreads = number(parseIntStrict);
         } else if (arg == "--no-batching") {
             options.batching = false;
         } else if (arg == "--max-batch") {
-            options.maxBatch = std::atoll(value());
+            options.maxBatch = number(parseInt64Strict);
         } else if (arg == "--batch-window-us") {
-            options.batchWindowMicros = std::atoll(value());
+            options.batchWindowMicros = number(parseInt64Strict);
         } else if (arg == "--capacity") {
-            options.capacityBytes = std::atof(value());
+            options.capacityBytes = number(parseDoubleStrict);
         } else if (arg == "--cache-dir") {
             options.cacheDir = value();
         } else if (arg == "--no-cache") {
