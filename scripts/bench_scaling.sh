@@ -5,13 +5,8 @@
 # plus the bench's dependence-analysis and static-safety overhead
 # lines — is emitted as machine-readable BENCH_scaling.json.
 #
-# Modes (BENCH_SCALING_MODE=wall|sim|auto, default auto):
-#   wall  times the parallel fused run with real worker threads;
-#   sim   times a serial run under the simulated critical path (each
-#         chunk charged to its static owner; see DESIGN.md
-#         "Thread-aware planning") so the plan's scaling is measurable
-#         on hosts with fewer cores than the sweep's thread counts;
-#   auto  picks sim when nproc < 4, wall otherwise.
+# Timing is wall-clock: the parallel fused run uses real worker
+# threads, so counts above the host's core count measure oversubscription.
 #
 # Flags: --quick restricts the bench to the first four Table IV shapes
 # (reduced CI sweep).
@@ -35,18 +30,9 @@ for arg in "$@"; do
     esac
 done
 
-mode="${BENCH_SCALING_MODE:-auto}"
-if [ "$mode" = "auto" ]; then
-    cores="$(nproc 2>/dev/null || echo 1)"
-    if [ "$cores" -lt 4 ]; then mode=sim; else mode=wall; fi
-fi
-case "$mode" in
-    sim) mode_json="simulated-critical-path"; bench_flags=(--sim) ;;
-    wall) mode_json="wall-clock"; bench_flags=() ;;
-    *) echo "error: BENCH_SCALING_MODE must be wall, sim, or auto" >&2; exit 2 ;;
-esac
+bench_flags=()
 [ "$quick" -eq 1 ] && bench_flags+=(--quick)
-echo "mode: $mode_json (quick=$quick)"
+echo "mode: wall-clock (quick=$quick)"
 
 : > scaling_output.txt
 declare -a counts=(1 2 4 8)
@@ -87,7 +73,7 @@ echo "(full bench tables captured in scaling_output.txt)"
     echo '{'
     echo '  "bench": "fig5_cpu_gemm_chains",'
     echo '  "metric": "geomean serial->NT speedup over Table IV",'
-    echo "  \"mode\": \"${mode_json}\","
+    echo '  "mode": "wall-clock",'
     echo "  \"quick\": $([ "$quick" -eq 1 ] && echo true || echo false),"
     echo '  "scaling": ['
     for i in "${!counts[@]}"; do

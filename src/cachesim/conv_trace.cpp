@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "support/error.hpp"
+#include "exec/region_walk.hpp"
 #include "support/mathutil.hpp"
 #include "tensor/reference.hpp"
 
@@ -47,19 +47,6 @@ layout(const ConvChainConfig &cfg)
     return map;
 }
 
-TraceResult
-collect(const CacheHierarchy &caches)
-{
-    TraceResult result;
-    for (int d = 0; d < caches.numLevels(); ++d) {
-        result.trafficIntoLevelBytes.push_back(
-            caches.trafficIntoLevelBytes(d));
-        result.hitRates.push_back(caches.stats(d).hitRate());
-    }
-    result.dramBytes = caches.dramTrafficBytes();
-    return result;
-}
-
 /** Touches the input rows feeding mid rows [trLo, trHi) x [tcLo, tcHi). */
 void
 touchInputRegion(CacheHierarchy &caches, const ConvChainConfig &cfg,
@@ -99,79 +86,30 @@ traceFusedConvChain(const ConvChainConfig &config,
                     const std::vector<CacheConfig> &levels)
 {
     const ir::Chain chain = ir::makeConvChain(config);
-    CHIMERA_CHECK(static_cast<int>(plan.tiles.size()) == chain.numAxes(),
-                  "plan does not match the chain configuration");
+    const exec::RegionWalk walk(chain, plan);
     CacheHierarchy caches(levels);
     const ConvAddressMap map = layout(config);
-
-    auto tileOf = [&](const std::string &name, std::int64_t fallback) {
-        for (int a = 0; a < chain.numAxes(); ++a) {
-            if (chain.axes()[static_cast<std::size_t>(a)].name == name) {
-                return plan.tiles[static_cast<std::size_t>(a)];
-            }
-        }
-        return fallback;
-    };
-    const std::int64_t tb = tileOf("b", 1);
-    const std::int64_t toc2 = tileOf("oc2", config.oc2);
-    const std::int64_t toh = tileOf("oh", config.oh2());
-    const std::int64_t tow = tileOf("ow", config.ow2());
-    const std::int64_t toc1 = tileOf("oc1", config.oc1);
-    const std::int64_t tic = tileOf("ic", config.ic);
-
-    struct Loop
-    {
-        char name;
-        std::int64_t extent;
-        std::int64_t tile;
-    };
-    std::vector<Loop> loops;
-    for (ir::AxisId axis : plan.perm) {
-        const std::string &name =
-            chain.axes()[static_cast<std::size_t>(axis)].name;
-        if (name == "b") {
-            loops.push_back({'b', config.batch, tb});
-        } else if (name == "oc1") {
-            loops.push_back({'c', config.oc1, toc1});
-        } else if (name == "oh") {
-            loops.push_back({'h', config.oh2(), toh});
-        } else if (name == "ow") {
-            loops.push_back({'w', config.ow2(), tow});
-        }
-    }
-    if (config.batch == 1) {
-        loops.insert(loops.begin(), {'b', 1, 1});
-    }
-
+    auto axis = [&](const char *name) { return ir::axisIdByName(chain, name); };
+    const ir::AxisId bAx = config.batch > 1 ? axis("b") : -1;
+    const ir::AxisId oc1Ax = axis("oc1");
+    const ir::AxisId ohAx = axis("oh");
+    const ir::AxisId owAx = axis("ow");
+    const std::int64_t toc2 =
+        plan.tiles[static_cast<std::size_t>(axis("oc2"))];
+    const std::int64_t tic = plan.tiles[static_cast<std::size_t>(axis("ic"))];
     const std::int64_t w1Ld = config.ic * config.k1 * config.k1;
     const std::int64_t w2Ld = config.oc1 * config.k2 * config.k2;
     const int st2 = config.stride2;
     const int k2 = config.k2;
     const int pad2 = config.effectivePad2();
 
-    std::int64_t starts[4];
-    for (starts[0] = 0; starts[0] < loops[0].extent;
-         starts[0] += loops[0].tile) {
-    for (starts[1] = 0; starts[1] < loops[1].extent;
-         starts[1] += loops[1].tile) {
-    for (starts[2] = 0; starts[2] < loops[2].extent;
-         starts[2] += loops[2].tile) {
-    for (starts[3] = 0; starts[3] < loops[3].extent;
-         starts[3] += loops[3].tile) {
-        std::int64_t b0 = 0, c0 = 0, h0 = 0, w0 = 0;
-        std::int64_t bb = 1, cc = 1, hh = 1, ww = 1;
-        for (int i = 0; i < 4; ++i) {
-            const Loop &loop = loops[static_cast<std::size_t>(i)];
-            const std::int64_t size =
-                std::min<std::int64_t>(loop.tile, loop.extent - starts[i]);
-            switch (loop.name) {
-              case 'b': b0 = starts[i]; bb = size; break;
-              case 'c': c0 = starts[i]; cc = size; break;
-              case 'h': h0 = starts[i]; hh = size; break;
-              case 'w': w0 = starts[i]; ww = size; break;
-              default: break;
-            }
-        }
+    // The executor's region walk, serially; per region, the IO slabs
+    // the fused body reads and writes.
+    walk.forEachRegion([&](const exec::Region &r) {
+        const std::int64_t b0 = r.start(bAx), bb = r.size(bAx);
+        const std::int64_t c0 = r.start(oc1Ax), cc = r.size(oc1Ax);
+        const std::int64_t h0 = r.start(ohAx), hh = r.size(ohAx);
+        const std::int64_t w0 = r.start(owAx), ww = r.size(owAx);
 
         const std::int64_t midH = st2 * (hh - 1) + k2;
         const std::int64_t midW = st2 * (ww - 1) + k2;
@@ -236,11 +174,8 @@ traceFusedConvChain(const ConvChainConfig &config,
                 }
             }
         }
-    }
-    }
-    }
-    }
-    return collect(caches);
+    });
+    return collectTrace(caches);
 }
 
 TraceResult
@@ -308,7 +243,7 @@ traceUnfusedConvChain(const ConvChainConfig &config,
     traceConv(map.tGlobal, map.w2, map.output, config.oc1, config.oh1(),
               config.ow1(), config.oc2, config.k2, config.stride2,
               config.effectivePad2(), tiles2);
-    return collect(caches);
+    return collectTrace(caches);
 }
 
 } // namespace chimera::cachesim

@@ -4,10 +4,11 @@
  * @file
  * Block-level memory traces of the convolution-chain executors for the
  * cache simulator — the conv counterpart of gemm_trace.hpp. The fused
- * walker touches exactly the IO slabs runFusedConvChain reads/writes
- * per region (halo'd input rows, weight slices, output rows), with the
- * intermediate living in a reused on-chip scratch; the unfused walker
- * spills the full intermediate tensor through memory.
+ * walker visits runFusedConvChain's regions in its walk order and
+ * touches the IO slabs each region reads/writes (halo'd input rows,
+ * weight slices, output rows), with the intermediate living in a
+ * reused on-chip scratch; the unfused walker spills the full
+ * intermediate tensor through memory.
  */
 
 #include "cachesim/cache.hpp"

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
+#include "exec/region_walk.hpp"
 #include "ir/builders.hpp"
-#include "support/error.hpp"
 #include "support/mathutil.hpp"
 
 namespace chimera::cachesim {
@@ -58,8 +58,10 @@ touchBlock(CacheHierarchy &caches, std::int64_t base, std::int64_t ld,
     }
 }
 
+} // namespace
+
 TraceResult
-collect(const CacheHierarchy &caches)
+collectTrace(const CacheHierarchy &caches)
 {
     TraceResult result;
     for (int d = 0; d < caches.numLevels(); ++d) {
@@ -71,8 +73,6 @@ collect(const CacheHierarchy &caches)
     return result;
 }
 
-} // namespace
-
 TraceResult
 traceFusedGemmChain(const GemmChainConfig &config,
                     const plan::ExecutionPlan &plan,
@@ -80,68 +80,34 @@ traceFusedGemmChain(const GemmChainConfig &config,
                     const TraceOptions &options)
 {
     const ir::Chain chain = ir::makeGemmChain(config);
-    CHIMERA_CHECK(static_cast<int>(plan.tiles.size()) == chain.numAxes(),
-                  "plan does not match the chain configuration");
+    const exec::RegionWalk walk(chain, plan);
     CacheHierarchy caches(levels);
     const AddressMap map = layoutTensors(config);
-
-    auto tileOf = [&](const std::string &name, std::int64_t fallback) {
-        for (int a = 0; a < chain.numAxes(); ++a) {
-            if (chain.axes()[static_cast<std::size_t>(a)].name == name) {
-                return plan.tiles[static_cast<std::size_t>(a)];
-            }
-        }
-        return fallback;
-    };
-    const std::int64_t tb = tileOf("b", 1);
-    const std::int64_t tm = tileOf("m", config.m);
-    const std::int64_t tn = tileOf("n", config.n);
-    const std::int64_t tk = tileOf("k", config.k);
-    const std::int64_t tl = tileOf("l", config.l);
-
-    struct Loop
-    {
-        char name;
-        std::int64_t extent;
-        std::int64_t tile;
-    };
-    std::vector<Loop> loops;
-    for (ir::AxisId axis : plan.perm) {
-        const std::string &name =
-            chain.axes()[static_cast<std::size_t>(axis)].name;
-        if (name == "b") {
-            loops.push_back({'b', config.batch, tb});
-        } else if (name == "m") {
-            loops.push_back({'m', config.m, tm});
-        } else if (name == "l") {
-            loops.push_back({'l', config.l, tl});
-        }
-    }
-    if (config.batch == 1) {
-        loops.insert(loops.begin(), {'b', 1, 1});
-    }
-
+    auto axis = [&](const char *name) { return ir::axisIdByName(chain, name); };
+    const ir::AxisId bAx = config.batch > 1 ? axis("b") : -1;
+    const ir::AxisId mAx = axis("m");
+    const ir::AxisId lAx = axis("l");
+    const std::int64_t tn = plan.tiles[static_cast<std::size_t>(axis("n"))];
+    const std::int64_t tk = plan.tiles[static_cast<std::size_t>(axis("k"))];
     const std::int64_t bigM = config.m;
     const std::int64_t bigN = config.n;
     const std::int64_t bigK = config.k;
     const std::int64_t bigL = config.l;
 
-    for (std::int64_t i0 = 0; i0 < loops[0].extent; i0 += loops[0].tile) {
-    for (std::int64_t i1 = 0; i1 < loops[1].extent; i1 += loops[1].tile) {
-    for (std::int64_t i2 = 0; i2 < loops[2].extent; i2 += loops[2].tile) {
-        std::int64_t b0 = 0, m0 = 0, l0 = 0, bb = 1, mm = 1, ll = 1;
-        const std::int64_t starts[3] = {i0, i1, i2};
-        for (int i = 0; i < 3; ++i) {
-            const std::int64_t size = std::min<std::int64_t>(
-                loops[i].tile, loops[i].extent - starts[i]);
-            switch (loops[i].name) {
-              case 'b': b0 = starts[i]; bb = size; break;
-              case 'm': m0 = starts[i]; mm = size; break;
-              case 'l': l0 = starts[i]; ll = size; break;
-              default: break;
+    // The executor's region walk, serially; per region, the touches of
+    // the fused body's block calls.
+    walk.forEachRegion([&](const exec::Region &r) {
+        const std::int64_t b0 = r.start(bAx), bb = r.size(bAx);
+        const std::int64_t m0 = r.start(mAx), mm = r.size(mAx);
+        const std::int64_t l0 = r.start(lAx), ll = r.size(lAx);
+        auto touchC = [&](std::int64_t bi) {
+            if (options.reuseIntermediate) {
+                touchBlock(caches, map.cScratch, ll, bi * mm, 0, mm, ll);
+            } else {
+                touchBlock(caches, map.cGlobal, bigL,
+                           (b0 + bi) * bigM + m0, l0, mm, ll);
             }
-        }
-
+        };
         for (std::int64_t k0 = 0; k0 < bigK; k0 += tk) {
             const std::int64_t kk = std::min<std::int64_t>(tk, bigK - k0);
             for (std::int64_t bi = 0; bi < bb; ++bi) {
@@ -149,35 +115,21 @@ traceFusedGemmChain(const GemmChainConfig &config,
                            mm, kk);
                 touchBlock(caches, map.b, bigL, (b0 + bi) * bigK + k0, l0,
                            kk, ll);
-                if (options.reuseIntermediate) {
-                    touchBlock(caches, map.cScratch, ll, bi * mm, 0, mm,
-                               ll);
-                } else {
-                    touchBlock(caches, map.cGlobal, bigL,
-                               (b0 + bi) * bigM + m0, l0, mm, ll);
-                }
+                touchC(bi);
             }
         }
         for (std::int64_t n0 = 0; n0 < bigN; n0 += tn) {
             const std::int64_t nn = std::min<std::int64_t>(tn, bigN - n0);
             for (std::int64_t bi = 0; bi < bb; ++bi) {
-                if (options.reuseIntermediate) {
-                    touchBlock(caches, map.cScratch, ll, bi * mm, 0, mm,
-                               ll);
-                } else {
-                    touchBlock(caches, map.cGlobal, bigL,
-                               (b0 + bi) * bigM + m0, l0, mm, ll);
-                }
+                touchC(bi);
                 touchBlock(caches, map.d, bigN, (b0 + bi) * bigL + l0, n0,
                            ll, nn);
                 touchBlock(caches, map.e, bigN, (b0 + bi) * bigM + m0, n0,
                            mm, nn);
             }
         }
-    }
-    }
-    }
-    return collect(caches);
+    });
+    return collectTrace(caches);
 }
 
 TraceResult
@@ -219,7 +171,7 @@ traceUnfusedGemmChain(const GemmChainConfig &config, const GemmTiles &tiles1,
               tiles1);
     traceGemm(map.cGlobal, map.d, map.e, config.m, config.n, config.l,
               tiles2);
-    return collect(caches);
+    return collectTrace(caches);
 }
 
 } // namespace chimera::cachesim

@@ -3,10 +3,12 @@
 /**
  * @file
  * Block-level memory traces of the GEMM-chain executors, replayed
- * against the cache simulator. This is the measurement side of the
- * Figure 8 experiments: the fused/unfused executors' tile-touch
- * sequences are generated exactly as the executors issue them, and the
- * LRU hierarchy decides what actually moves between levels.
+ * against the cache simulator: the measurement side of the Figure 8
+ * experiments. The fused trace visits the regions the executor's
+ * region walk (exec/region_walk.hpp) visits, in the order a serial run
+ * does; the tile touches inside a region are a model of the fused
+ * body's block calls, not a record of them. The LRU hierarchy decides
+ * what actually moves between levels.
  */
 
 #include "cachesim/cache.hpp"
@@ -39,6 +41,9 @@ struct TraceResult
     /** Bytes fetched from DRAM. */
     double dramBytes = 0.0;
 };
+
+/** The per-level traffic and hit rates @p caches recorded. */
+TraceResult collectTrace(const CacheHierarchy &caches);
 
 /**
  * Replays the fused executor's block touch sequence for @p plan.

@@ -2,81 +2,34 @@
 
 /**
  * @file
- * Per-worker busy-time accounting for chunked dispatch.
- *
- * The scaling bench needs the critical path T_par = sum over phases of
- * max_w busy[w]: the time the slowest worker of each dispatch phase is
- * busy under the plan's static worker -> chunk assignment. Executors
- * time every chunk they run and attribute it to the chunk's *static
- * owner* (staticChunkOwner over the phase's chunk count), not the OS
- * thread that happened to execute it — so the accounting measures the
- * plan's load balance and is identical whether the run was actually
- * parallel or serialized onto fewer hardware threads (the bench host
- * may have a single core; DESIGN.md "Thread-aware planning" explains
- * the simulated-critical-path methodology).
- *
- * Accumulators are cache-line sized so concurrent workers recording
- * into adjacent slots never share a line.
+ * Busy-time accounting for chunked dispatch: every chunk an executor
+ * dispatches (exec/region_walk.hpp) adds its wall time here. Which
+ * worker ran which chunk is in the `exec.chunk` trace events.
  */
 
 #include <atomic>
 #include <cstdint>
-#include <vector>
-
-#include "support/aligned.hpp"
 
 namespace chimera::exec {
 
-/** Accumulates per-simulated-worker busy time across dispatch phases. */
+/** Sums the busy time of every dispatch chunk it is attached to. */
 class ChunkProfile
 {
   public:
-    /** @param workers Simulated worker count (>= 1). */
-    explicit ChunkProfile(int workers);
+    /** @param workers Unused: the total sums every worker's chunks. */
+    explicit ChunkProfile(int workers) { (void)workers; }
 
-    /** Simulated workers the profile was sized for. */
-    int workers() const { return workers_; }
+    /** Adds one chunk's busy time. Thread-safe. */
+    void recordChunk(std::int64_t nanos) { nanos_ += nanos; }
 
-    /**
-     * Opens a new dispatch phase of @p chunkCount chunks: the critical
-     * path of the previous phase (max busy worker) is folded into the
-     * running total and the per-worker accumulators reset. Executors
-     * call this once before every parallelFor over chunks.
-     */
-    void beginPhase(std::int64_t chunkCount);
-
-    /**
-     * Charges @p seconds of chunk @p chunk to its static owner under
-     * the current phase's assignment. Thread-safe: concurrent chunks
-     * with different owners write disjoint cache lines; same-owner
-     * chunks accumulate atomically.
-     */
-    void recordChunk(std::int64_t chunk, double seconds);
-
-    /**
-     * Critical path so far: sum over closed phases of the slowest
-     * worker's busy time, plus the current phase's. With workers == 1
-     * this equals totalBusySeconds() (serial execution).
-     */
-    double criticalPathSeconds() const;
-
-    /** Total busy time across all workers and phases. */
-    double totalBusySeconds() const;
+    /** Total busy time across all chunks and workers, in seconds. */
+    double totalBusySeconds() const
+    {
+        return 1e-9 * static_cast<double>(nanos_.load());
+    }
 
   private:
-    struct alignas(kBufferAlignment) Slot
-    {
-        // Nanoseconds, not double: C++17 has no atomic double add.
-        std::atomic<std::int64_t> nanos{0};
-    };
-
-    double phaseMaxSeconds() const;
-
-    int workers_ = 1;
-    std::int64_t phaseChunks_ = 0;
-    double closedCriticalSeconds_ = 0.0;
-    double closedTotalSeconds_ = 0.0;
-    std::vector<Slot> slots_;
+    std::atomic<std::int64_t> nanos_{0};
 };
 
 } // namespace chimera::exec

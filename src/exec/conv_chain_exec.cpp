@@ -3,12 +3,9 @@
 #include <algorithm>
 #include <cstring>
 
-#include "exec/chunk_profile.hpp"
-#include "exec/region_schedule.hpp"
-#include "obs/trace.hpp"
+#include "exec/gemm_chain_exec.hpp"
+#include "exec/region_walk.hpp"
 #include "support/error.hpp"
-#include "support/mathutil.hpp"
-#include "support/timer.hpp"
 #include "tensor/reference.hpp"
 
 namespace chimera::exec {
@@ -64,53 +61,6 @@ checkShape(const Tensor &t, const std::vector<std::int64_t> &expected,
                       t.shapeString());
 }
 
-std::int64_t
-tileByName(const ir::Chain &chain, const plan::ExecutionPlan &plan,
-           const std::string &name, std::int64_t fallback)
-{
-    for (int a = 0; a < chain.numAxes(); ++a) {
-        if (chain.axes()[static_cast<std::size_t>(a)].name == name) {
-            return plan.tiles[static_cast<std::size_t>(a)];
-        }
-    }
-    return fallback;
-}
-
-/**
- * Region loops of the fused conv-chain walk in plan order: 'b', 'c'
- * (the oc1 block loop), 'h' (oh) and 'w' (ow), each tagged with its
- * AxisId for the concurrency-table split. A unit batch loop (axis -1)
- * is synthesized when batch == 1.
- */
-std::vector<RegionLoop>
-convRegionLoops(const ir::Chain &chain, const ir::ConvChainConfig &config,
-                const plan::ExecutionPlan &plan)
-{
-    const std::int64_t tb = tileByName(chain, plan, "b", 1);
-    const std::int64_t toh = tileByName(chain, plan, "oh", config.oh2());
-    const std::int64_t tow = tileByName(chain, plan, "ow", config.ow2());
-    const std::int64_t toc1 = tileByName(chain, plan, "oc1", config.oc1);
-    std::vector<RegionLoop> loops;
-    for (ir::AxisId axis : plan.perm) {
-        const std::string &name =
-            chain.axes()[static_cast<std::size_t>(axis)].name;
-        if (name == "b") {
-            loops.push_back(RegionLoop{'b', config.batch, tb, axis});
-        } else if (name == "oc1") {
-            loops.push_back(RegionLoop{'c', config.oc1, toc1, axis});
-        } else if (name == "oh") {
-            loops.push_back(RegionLoop{'h', config.oh2(), toh, axis});
-        } else if (name == "ow") {
-            loops.push_back(RegionLoop{'w', config.ow2(), tow, axis});
-        }
-    }
-    if (config.batch == 1) {
-        loops.insert(loops.begin(), RegionLoop{'b', 1, 1, -1});
-    }
-    CHIMERA_ASSERT(loops.size() == 4, "missing conv region loop");
-    return loops;
-}
-
 } // namespace
 
 std::vector<std::int64_t>
@@ -156,14 +106,18 @@ runFusedConvChain(const ConvChainConfig &config,
     checkShape(output, convChainShapeO(config), "O");
 
     const ir::Chain chain = ir::makeConvChain(config);
-    CHIMERA_CHECK(static_cast<int>(plan.tiles.size()) == chain.numAxes(),
-                  "plan does not match the chain configuration");
-    const std::int64_t tb = tileByName(chain, plan, "b", 1);
-    const std::int64_t toc2 = tileByName(chain, plan, "oc2", config.oc2);
-    const std::int64_t toh = tileByName(chain, plan, "oh", config.oh2());
-    const std::int64_t tow = tileByName(chain, plan, "ow", config.ow2());
-    const std::int64_t toc1 = tileByName(chain, plan, "oc1", config.oc1);
-    const std::int64_t tic = tileByName(chain, plan, "ic", config.ic);
+    // Region loops b/oc1/oh/ow; oc1, conv2's reduction, runs serially.
+    const RegionWalk walk(chain, plan);
+    auto axis = [&](const char *name) { return ir::axisIdByName(chain, name); };
+    const ir::AxisId bAx = config.batch > 1 ? axis("b") : -1;
+    const ir::AxisId ohAx = axis("oh");
+    const ir::AxisId owAx = axis("ow");
+    const ir::AxisId oc1Ax = axis("oc1");
+    auto tileOf = [&](ir::AxisId a) {
+        return plan.tiles[static_cast<std::size_t>(a)];
+    };
+    const std::int64_t toc2 = tileOf(axis("oc2"));
+    const std::int64_t tic = tileOf(axis("ic"));
 
     const std::int64_t oh1 = config.oh1();
     const std::int64_t ow1 = config.ow1();
@@ -176,47 +130,24 @@ runFusedConvChain(const ConvChainConfig &config,
     const int pad1 = config.effectivePad1();
     const int pad2 = config.effectivePad2();
 
-    // Split the region loops into the parallel task space and the serial
-    // nest by the plan's concurrency table (dependence-analysis output;
-    // kernel axes stay internal and never reach the region walk). Under
-    // a sound table the b/oh/ow blocks are dependence-free (disjoint
-    // output windows) and run in parallel, while the oc1 block loop —
-    // the reduction dimension of conv2, every one of whose blocks
-    // accumulates into the same output elements — runs serially
-    // ascending inside each region, which keeps the per-element
-    // accumulation order (and the output bits) identical to the serial
-    // executor at every thread count.
-    const RegionSchedule sched =
-        partitionRegionLoops(convRegionLoops(chain, config, plan),
-                             plan::effectiveConcurrency(chain, plan),
-                             plan.parallelGrain);
-
-    ThreadPool *pool = execPool(options);
-    const int workers = execWorkerCount(pool);
-    ChunkProfile *profile = options.profile;
-
-    analysis::RaceChecker *race = options.raceCheck;
-    if (race != nullptr) {
-        CHIMERA_CHECK(race->numElements() == output.numel(),
-                      "race checker must be sized to the conv output");
-        race->beginPhase(chain.name() + " fused blocks");
+    // Per-worker on-chip intermediate region (T's block footprint; the
+    // kernel axes always run whole) and im2col patch buffers.
+    std::vector<std::int64_t> tiles = plan.tiles;
+    for (ir::AxisId a : chain.pinnedAxes()) {
+        tiles[static_cast<std::size_t>(a)] =
+            chain.axes()[static_cast<std::size_t>(a)].extent;
     }
-
-    // Per-worker on-chip intermediate region (maximal size over
-    // regions) and im2col patch buffers for conv1 and conv2.
-    const std::int64_t midHMax = st2 * (toh - 1) + k2;
-    const std::int64_t midWMax = st2 * (tow - 1) + k2;
+    const std::int64_t midWMax = st2 * (tileOf(owAx) - 1) + k2;
+    const int workers = execWorkerCount(execPool(options));
     std::vector<AlignedBuffer<float>> tRegions, patch1s, patch2s;
-    tRegions.reserve(static_cast<std::size_t>(workers));
-    patch1s.reserve(static_cast<std::size_t>(workers));
-    patch2s.reserve(static_cast<std::size_t>(workers));
     for (int w = 0; w < workers; ++w) {
         tRegions.push_back(allocateAligned<float>(static_cast<std::size_t>(
-            tb * toc1 * midHMax * midWMax)));
-        patch1s.push_back(allocateAligned<float>(static_cast<std::size_t>(
-            tic * k1 * k1 * midWMax)));
+            chain.tensors()[static_cast<std::size_t>(
+                chain.ops()[0].outputTensorId)].footprintElems(tiles))));
+        patch1s.push_back(allocateAligned<float>(
+            static_cast<std::size_t>(tic * k1 * k1 * midWMax)));
         patch2s.push_back(allocateAligned<float>(static_cast<std::size_t>(
-            toc1 * k2 * k2 * tow)));
+            tileOf(oc1Ax) * k2 * k2 * tileOf(owAx))));
     }
 
     output.zero();
@@ -228,61 +159,16 @@ runFusedConvChain(const ConvChainConfig &config,
     const std::int64_t outChanStride = oh2 * ow2;
     const std::int64_t outBatchStride = config.oc2 * outChanStride;
 
-    // Parallel region blocks from the blessed loops; every unblessed
-    // region loop (normally just oc1) runs serially ascending inside.
-    // Dispatch is chunked by the plan's grain (grain-invariant outputs).
-    const std::int64_t chunks = sched.chunkCount();
-    if (profile != nullptr) {
-        profile->beginPhase(chunks);
-    }
-    // Unified clock: ChunkProfile and the trace share obs::nowNanos.
-    obs::TraceRecorder *const tracer = obs::trace();
-    obs::Span execSpan(tracer, "exec.conv_chain", "exec");
-    execSpan.arg("chunks", chunks).arg("workers", workers);
-    parallelFor(pool, 0, chunks, [&](std::int64_t chunk, int worker) {
-        const std::int64_t chunkStart = obs::nowNanos();
-        std::int64_t taskLo = -1;
-        std::int64_t taskHi = -1;
+    walk.run(options, "exec.conv_chain", [&](const Region &region,
+                                            int worker) {
         float *tRegion = tRegions[static_cast<std::size_t>(worker)].get();
         float *patch1 = patch1s[static_cast<std::size_t>(worker)].get();
         float *patch2 = patch2s[static_cast<std::size_t>(worker)].get();
-        sched.forEachTaskInChunk(chunk, [&](std::int64_t task) {
-        if (taskLo < 0) {
-            taskLo = task;
-        }
-        taskHi = task;
-        const std::vector<BlockRange> parBlocks =
-            decodeBlocks(sched.parallel, task);
-
-        const std::int64_t steps = sched.serialSteps();
-        for (std::int64_t s = 0; s < steps; ++s) {
-        const std::vector<BlockRange> serBlocks =
-            decodeBlocks(sched.serial, s);
-        const BlockRange bBlk =
-            findBlock(parBlocks, serBlocks, 'b', config.batch);
-        const BlockRange hBlk = findBlock(parBlocks, serBlocks, 'h', oh2);
-        const BlockRange wBlk = findBlock(parBlocks, serBlocks, 'w', ow2);
-        const BlockRange cBlk =
-            findBlock(parBlocks, serBlocks, 'c', config.oc1);
-        const std::int64_t b0 = bBlk.start, bb = bBlk.size;
-        const std::int64_t h0 = hBlk.start, hh = hBlk.size;
-        const std::int64_t w0 = wBlk.start, ww = wBlk.size;
-        const std::int64_t c0 = cBlk.start, cc = cBlk.size;
-
-        // Shadow-memory claim: this task owns the output window
-        // (all oc2 channels of rows h0..h0+hh, cols w0..w0+ww).
-        if (race != nullptr) {
-            for (std::int64_t bi = 0; bi < bb; ++bi) {
-                for (std::int64_t oc = 0; oc < config.oc2; ++oc) {
-                    for (std::int64_t rr = 0; rr < hh; ++rr) {
-                        const std::int64_t at =
-                            (b0 + bi) * outBatchStride +
-                            oc * outChanStride + (h0 + rr) * ow2 + w0;
-                        race->claimRange(task, at, at + ww);
-                    }
-                }
-            }
-        }
+        const std::int64_t b0 = region.start(bAx), bb = region.size(bAx);
+        const std::int64_t h0 = region.start(ohAx), hh = region.size(ohAx);
+        const std::int64_t w0 = region.start(owAx), ww = region.size(owAx);
+        const std::int64_t c0 = region.start(oc1Ax);
+        const std::int64_t cc = region.size(oc1Ax);
 
         // Halo-inflated intermediate slice covered by this region.
         const std::int64_t midH = st2 * (hh - 1) + k2;
@@ -356,41 +242,7 @@ runFusedConvChain(const ConvChainConfig &config,
                 }
             }
         }
-        }
-        });
-        const std::int64_t chunkNanos = obs::nowNanos() - chunkStart;
-        if (profile != nullptr) {
-            profile->recordChunk(
-                chunk, static_cast<double>(chunkNanos) * 1e-9);
-        }
-        if (tracer != nullptr) {
-            tracer->complete("exec.chunk", "exec", chunkStart, chunkNanos,
-                             {{"chunk", chunk},
-                              {"worker", static_cast<std::int64_t>(worker)},
-                              {"task_lo", taskLo},
-                              {"task_hi", taskHi}});
-        }
     });
-}
-
-std::vector<std::string>
-fusedConvChainParallelAxes(const ConvChainConfig &config,
-                           const plan::ExecutionPlan &plan)
-{
-    const ir::Chain chain = ir::makeConvChain(config);
-    CHIMERA_CHECK(static_cast<int>(plan.tiles.size()) == chain.numAxes(),
-                  "plan does not match the chain configuration");
-    const RegionSchedule sched =
-        partitionRegionLoops(convRegionLoops(chain, config, plan),
-                             plan::effectiveConcurrency(chain, plan));
-    std::vector<std::string> names;
-    for (const RegionLoop &loop : sched.parallel) {
-        if (loop.axis >= 0) {
-            names.push_back(
-                chain.axes()[static_cast<std::size_t>(loop.axis)].name);
-        }
-    }
-    return names;
 }
 
 void
@@ -415,34 +267,21 @@ runTiledConv2d(const ComputeEngine &engine, const Tensor &input,
     output.zero();
     const std::int64_t wLd = ic * kernel * kernel;
 
-    analysis::RaceChecker *race = options.raceCheck;
-    if (race != nullptr) {
-        CHIMERA_CHECK(race->numElements() == output.numel(),
-                      "race checker must be sized to the conv output");
-        race->beginPhase("tiled conv2d");
-    }
+    analysis::RaceChecker *race =
+        beginRacePhase(options, output.numel(), "tiled conv2d");
 
     // Each (batch, output-row) pair writes a disjoint output row slice;
     // the ic reduction stays serial ascending inside it, so the output
     // is bitwise-identical at every thread count.
-    ThreadPool *pool = execPool(options);
-    const int workers = execWorkerCount(pool);
+    const int workers = execWorkerCount(execPool(options));
     std::vector<AlignedBuffer<float>> patches;
-    patches.reserve(static_cast<std::size_t>(workers));
     for (int i = 0; i < workers; ++i) {
         patches.push_back(allocateAligned<float>(static_cast<std::size_t>(
             std::min(tiles.tic, ic) * kernel * kernel * ow)));
     }
 
-    ChunkProfile *profile = options.profile;
-    if (profile != nullptr) {
-        profile->beginPhase(batch * oh);
-    }
-    obs::TraceRecorder *const tracer = obs::trace();
-    obs::Span execSpan(tracer, "exec.tiled_conv", "exec");
-    execSpan.arg("tasks", batch * oh);
-    parallelFor(pool, 0, batch * oh, [&](std::int64_t task, int worker) {
-        const std::int64_t taskStart = obs::nowNanos();
+    dispatchChunks(options, "exec.tiled_conv", batch * oh,
+                   [&](std::int64_t task, int worker) {
         const std::int64_t bi = task / oh;
         const std::int64_t r = task % oh;
         const float *inBase = input.data() + bi * ic * h * w;
@@ -470,17 +309,7 @@ runTiledConv2d(const ComputeEngine &engine, const Tensor &input,
                     icc * kernel * kernel);
             }
         }
-        const std::int64_t taskNanos = obs::nowNanos() - taskStart;
-        if (profile != nullptr) {
-            profile->recordChunk(
-                task, static_cast<double>(taskNanos) * 1e-9);
-        }
-        if (tracer != nullptr) {
-            tracer->complete("exec.chunk", "exec", taskStart, taskNanos,
-                             {{"chunk", task},
-                              {"worker",
-                               static_cast<std::int64_t>(worker)}});
-        }
+        return TaskRange{task, task};
     });
 }
 
@@ -498,9 +327,7 @@ runUnfusedConvChain(const ConvChainConfig &config,
     firstOptions.raceCheck = nullptr;
     runTiledConv2d(engine, input, w1, scratchT, config.stride1,
                    config.effectivePad1(), tiles1, firstOptions);
-    if (config.epilogue == Epilogue::Relu) {
-        ref::reluInPlace(scratchT);
-    }
+    runUnfusedEpilogue(scratchT, config.epilogue, SoftmaxParams{}, options);
     runTiledConv2d(engine, scratchT, w2, output, config.stride2,
                    config.effectivePad2(), tiles2, options);
 }

@@ -36,30 +36,17 @@ std::vector<std::int64_t> convChainShapeO(const ir::ConvChainConfig &c);
  * Runs the fused chain O = conv2(epilogue(conv1(I, W1)), W2) under
  * @p plan (produced for the chain built by makeConvChain).
  *
- * Which region blocks are distributed across @p options threads is
- * decided by the plan's concurrency table (see analysis/dependence.hpp
- * and plan::effectiveConcurrency), not hardcoded: under a sound table
- * the batch/oh/ow blocks write disjoint output windows and run in
- * parallel, while the oc1 block loop — conv2's reduction dimension —
- * runs serially ascending inside each region, so the output is
- * bitwise-identical at every thread count. Unblessed axes are refused
- * (executed serially).
+ * The plan's concurrency table picks the region loops split across
+ * @p options threads (exec/region_walk.hpp): under a sound table the
+ * b/oh/ow blocks write disjoint output windows and run in parallel,
+ * while the oc1 blocks — conv2's reduction — run serially inside each
+ * region, so the output is bitwise-identical at every thread count.
  */
 void runFusedConvChain(const ir::ConvChainConfig &config,
                        const plan::ExecutionPlan &plan,
                        const ComputeEngine &engine, const Tensor &input,
                        const Tensor &w1, const Tensor &w2, Tensor &output,
                        const ExecOptions &options = {});
-
-/**
- * Names of the chain axes runFusedConvChain would distribute across
- * workers for @p plan — the region loops the concurrency table blesses
- * as parallel (the synthesized unit batch loop is excluded). Lets tests
- * cross-check executor behavior against the analysis.
- */
-std::vector<std::string>
-fusedConvChainParallelAxes(const ir::ConvChainConfig &config,
-                           const plan::ExecutionPlan &plan);
 
 /** Channel tiles for the unfused per-conv executor. */
 struct ConvTiles

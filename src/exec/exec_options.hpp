@@ -41,11 +41,10 @@ struct ExecOptions
     analysis::RaceChecker *raceCheck = nullptr;
 
     /**
-     * Optional per-worker busy-time profile (see exec/chunk_profile.hpp).
-     * When non-null the fused executors time every dispatch chunk and
-     * charge it to the chunk's static owner, giving the scaling bench
-     * its simulated critical path. Appended last so existing aggregate
-     * initializers ({threads, pool, raceCheck}) keep compiling.
+     * Optional busy-time profile (see exec/chunk_profile.hpp): when
+     * non-null every executor adds each dispatch chunk's wall time to
+     * it. Appended last so existing aggregate initializers
+     * ({threads, pool, raceCheck}) keep compiling.
      */
     ChunkProfile *profile = nullptr;
 };

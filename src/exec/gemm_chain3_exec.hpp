@@ -47,27 +47,15 @@ gemmChain3Constraints(const ir::Chain &chain,
 /**
  * Runs the fused chain under @p plan (plan must pin T_P = P).
  *
- * The region loops distributed across @p options threads are chosen by
- * the plan's concurrency table (see analysis/dependence.hpp), not
- * hardcoded: under a sound table the (b, m) regions are independent —
- * each owns its C1/C2 buffers and disjoint E rows — and run in
- * parallel, with bitwise-identical output at every thread count (the
- * l/k reductions stay serial ascending inside each region).
+ * An adapter over the fused GEMM body (runFusedGemms). Under a sound
+ * concurrency table the (b, m) regions run in parallel, each with its
+ * own C1/C2 buffers and E rows, bitwise-identical at every thread count.
  */
 void runFusedGemmChain3(const ir::GemmChain3Config &config,
                         const plan::ExecutionPlan &plan,
                         const ComputeEngine &engine, const Tensor &a,
                         const Tensor &b, const Tensor &d, const Tensor &f,
                         Tensor &e, const ExecOptions &options = {});
-
-/**
- * Names of the chain axes runFusedGemmChain3 would distribute across
- * workers for @p plan (synthesized unit batch loop excluded). Lets
- * tests cross-check executor behavior against the analysis.
- */
-std::vector<std::string>
-fusedGemmChain3ParallelAxes(const ir::GemmChain3Config &config,
-                            const plan::ExecutionPlan &plan);
 
 /** Unfused baseline: three tiled batch GEMMs with DRAM intermediates. */
 void runUnfusedGemmChain3(const ir::GemmChain3Config &config,

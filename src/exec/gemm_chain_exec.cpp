@@ -4,33 +4,21 @@
 #include <cstring>
 #include <limits>
 
-#include "exec/chunk_profile.hpp"
-#include "exec/region_schedule.hpp"
+#include "exec/region_walk.hpp"
 #include "ir/builders.hpp"
 #include "kernels/exp_row.hpp"
-#include "obs/trace.hpp"
+#include "support/aligned.hpp"
 #include "support/error.hpp"
 #include "support/mathutil.hpp"
 #include "tensor/reference.hpp"
 
 namespace chimera::exec {
 
+using ir::AxisId;
 using ir::Epilogue;
 using ir::GemmChainConfig;
 
 namespace {
-
-std::int64_t
-tileOf(const ir::Chain &chain, const plan::ExecutionPlan &plan,
-       const std::string &name, std::int64_t fallback)
-{
-    for (int a = 0; a < chain.numAxes(); ++a) {
-        if (chain.axes()[static_cast<std::size_t>(a)].name == name) {
-            return plan.tiles[static_cast<std::size_t>(a)];
-        }
-    }
-    return fallback;
-}
 
 void
 checkShape(const Tensor &t, const std::vector<std::int64_t> &expected,
@@ -41,54 +29,316 @@ checkShape(const Tensor &t, const std::vector<std::int64_t> &expected,
                       t.shapeString());
 }
 
-/**
- * Region loops of the fused gemm-chain walk — the b/m/l blocks the plan
- * decomposed the chain into, in plan order, each carrying its AxisId so
- * the concurrency table can bless or refuse it. A unit batch loop is
- * synthesized (axis -1, trivially parallel) when the chain has no b axis.
- */
-std::vector<RegionLoop>
-gemmRegionLoops(const ir::Chain &chain, const GemmChainConfig &config,
-                const plan::ExecutionPlan &plan)
+/** Element stride of @p axis in a row-major tensor (0 when unused). */
+std::int64_t
+strideOf(const ir::TensorDecl &tensor, AxisId axis,
+         const std::vector<std::int64_t> &extents)
 {
-    const std::int64_t tb = tileOf(chain, plan, "b", 1);
-    const std::int64_t tm = tileOf(chain, plan, "m", config.m);
-    const std::int64_t tl = tileOf(chain, plan, "l", config.l);
-    std::vector<RegionLoop> loops;
-    for (ir::AxisId axis : plan.perm) {
-        const std::string &name =
-            chain.axes()[static_cast<std::size_t>(axis)].name;
-        if (name == "b") {
-            loops.push_back(RegionLoop{'b', config.batch, tb, axis});
-        } else if (name == "m") {
-            loops.push_back(RegionLoop{'m', config.m, tm, axis});
-        } else if (name == "l") {
-            loops.push_back(RegionLoop{'l', config.l, tl, axis});
+    std::int64_t stride = 1;
+    for (auto dim = tensor.dims.rbegin(); dim != tensor.dims.rend(); ++dim) {
+        CHIMERA_CHECK(dim->terms.size() == 1 && dim->terms[0].coeff == 1,
+                      "GEMM operand dims must index one axis each");
+        if (dim->terms[0].axis == axis) {
+            return stride;
         }
+        stride *= extents[static_cast<std::size_t>(dim->terms[0].axis)];
     }
-    if (config.batch == 1) {
-        loops.insert(loops.begin(), RegionLoop{'b', 1, 1, -1});
-    }
-    CHIMERA_ASSERT(loops.size() == 3, "missing region loop");
-    return loops;
+    return 0;
 }
 
-/** Sets future positions of the scores tensor to -inf before softmax. */
-void
-applyCausalMask(Tensor &scores, const GemmChainConfig &config)
+/**
+ * Z[rows, cols] += X[rows, red] * Y[red, cols]. X is a chain input or
+ * the on-chip output of op `producer`; Y is a chain input; Z is on chip
+ * unless it is the chain output (z != nullptr).
+ */
+struct GemmOp
 {
-    const std::int64_t rows = config.m;
-    const std::int64_t cols = config.l;
-    float *p = scores.data();
-    for (std::int64_t b = 0; b < config.batch; ++b) {
-        for (std::int64_t r = 0; r < rows; ++r) {
-            float *row = p + (b * rows + r) * cols;
-            for (std::int64_t j = r + 1; j < cols; ++j) {
-                row[j] = -std::numeric_limits<float>::infinity();
+    AxisId batch = -1, rows = -1, cols = -1, red = -1;
+    int producer = -1;
+    const float *x = nullptr;
+    std::int64_t xBatch = 0, xLd = 0;
+    const float *y = nullptr;
+    std::int64_t yBatch = 0, yLd = 0;
+    float *z = nullptr;
+    std::int64_t zBatch = 0, zLd = 0;
+};
+
+/** Reads op @p decl's axis roles and operands off its access maps. */
+GemmOp
+gemmOp(const ir::Chain &chain, const ir::OpDecl &decl,
+       const std::vector<std::int64_t> &extents,
+       const std::vector<const Tensor *> &operands, Tensor &output)
+{
+    CHIMERA_CHECK(decl.kind == ir::OpKind::Gemm && decl.tensorIds.size() == 3,
+                  "the fused GEMM body runs GEMM ops only");
+    auto tensor = [&](int i) -> const ir::TensorDecl & {
+        return chain.tensors()[static_cast<std::size_t>(decl.tensorIds[i])];
+    };
+    auto input = [&](int i) {
+        return operands[static_cast<std::size_t>(decl.tensorIds[i])]->data();
+    };
+    const ir::TensorDecl &x = tensor(0);
+    const ir::TensorDecl &y = tensor(1);
+    const ir::TensorDecl &z = tensor(2);
+    GemmOp op;
+    for (AxisId a : decl.loops) {
+        const bool inX = x.usesAxis(a);
+        const bool inY = y.usesAxis(a);
+        const bool inZ = z.usesAxis(a);
+        AxisId *role = inX && inY && inZ ? &op.batch
+                       : inX && inZ      ? &op.rows
+                       : inY && inZ      ? &op.cols
+                       : inX && inY      ? &op.red
+                                         : nullptr;
+        CHIMERA_CHECK(role != nullptr && *role < 0,
+                      "each GEMM axis must be one of batch, rows, cols or "
+                      "reduction");
+        *role = a;
+    }
+    CHIMERA_CHECK(op.rows >= 0 && op.cols >= 0 && op.red >= 0,
+                  "GEMM op lacks a row, column or reduction axis");
+    if (x.kind == ir::TensorKind::Intermediate) {
+        for (std::size_t p = 0; p < chain.ops().size(); ++p) {
+            if (chain.ops()[p].outputTensorId == decl.tensorIds[0]) {
+                op.producer = static_cast<int>(p);
+            }
+        }
+    } else {
+        op.x = input(0);
+        op.xBatch = strideOf(x, op.batch, extents);
+        op.xLd = strideOf(x, op.rows, extents);
+    }
+    op.y = input(1);
+    op.yBatch = strideOf(y, op.batch, extents);
+    op.yLd = strideOf(y, op.red, extents);
+    if (z.kind == ir::TensorKind::Output) {
+        op.z = output.data();
+        op.zBatch = strideOf(z, op.batch, extents);
+        op.zLd = strideOf(z, op.rows, extents);
+    }
+    CHIMERA_CHECK((op.x == nullptr || strideOf(x, op.red, extents) == 1) &&
+                      strideOf(y, op.cols, extents) == 1 &&
+                      (op.z == nullptr || strideOf(z, op.cols, extents) == 1),
+                  "GEMM operands must be row-major");
+    return op;
+}
+
+/** The per-region block body of a fused GEMM chain. */
+class GemmChainBody
+{
+  public:
+    GemmChainBody(const ir::Chain &chain, const plan::ExecutionPlan &plan,
+                  const RegionWalk &walk, const ComputeEngine &engine,
+                  const std::vector<const Tensor *> &operands,
+                  Tensor &output, const SoftmaxParams &softmax, int workers)
+        : engine_(engine), tiles_(plan.tiles),
+          epilogue_(chain.intermediateEpilogue()), softmax_(softmax)
+    {
+        const std::vector<std::int64_t> extents = chain.fullExtents();
+        for (const ir::OpDecl &decl : chain.ops()) {
+            ops_.push_back(gemmOp(chain, decl, extents, operands, output));
+            CHIMERA_CHECK((ops_.back().z != nullptr) ==
+                              (ops_.size() == chain.ops().size()),
+                          "only the last GEMM may write the chain output");
+        }
+        auto whole = [&](AxisId a) {
+            return tiles_[static_cast<std::size_t>(a)] ==
+                   extents[static_cast<std::size_t>(a)];
+        };
+        // The last op streams its output columns from an intermediate
+        // produced once per region: a reduction axis it walks inside
+        // the region must fit one tile.
+        CHIMERA_CHECK(walk.isRegionLoop(ops_.back().red) ||
+                          whole(ops_.back().red),
+                      "the fused 3-chain executor requires T_P = P");
+        const GemmOp &first = ops_.front();
+        if (epilogue_ == ir::Epilogue::Softmax) {
+            deferred_ = walk.isRegionLoop(first.cols);
+            CHIMERA_CHECK(deferred_ || whole(first.cols),
+                          "the fused attention chain requires T_L = L (full"
+                          " scores row on chip for the softmax)");
+        }
+        if (deferred_) {
+            // One sum per output row (b, m).
+            rowsExtent_ = extents[static_cast<std::size_t>(first.rows)];
+            rowSum_.assign(
+                static_cast<std::size_t>(output.numel() / ops_.back().zLd),
+                0.0f);
+        }
+        // Per-worker on-chip buffers, one per intermediate, sized by its
+        // block footprint.
+        buffers_.assign(static_cast<std::size_t>(workers) * ops_.size(),
+                        nullptr);
+        for (std::size_t w = 0; w < static_cast<std::size_t>(workers); ++w) {
+            for (std::size_t i = 0; i + 1 < ops_.size(); ++i) {
+                const ir::TensorDecl &z = chain.tensors()[static_cast<
+                    std::size_t>(chain.ops()[i].outputTensorId)];
+                scratch_.push_back(allocateAligned<float>(
+                    static_cast<std::size_t>(z.footprintElems(tiles_))));
+                buffers_[w * ops_.size() + i] = scratch_.back().get();
             }
         }
     }
-}
+
+    /** Runs the chain over one region on @p worker's buffers. */
+    void visit(const Region &region, int worker)
+    {
+        float *const *buffers =
+            &buffers_[static_cast<std::size_t>(worker) * ops_.size()];
+        const std::size_t last = ops_.size() - 1;
+        const GemmOp &op = ops_[last];
+        forEachBlock(op.red, region, [&](std::int64_t r0, std::int64_t rr) {
+            if (op.producer >= 0) {
+                produce(static_cast<std::size_t>(op.producer), region,
+                        buffers, r0, rr);
+            }
+            forEachBlock(op.cols, region,
+                         [&](std::int64_t c0, std::int64_t cc) {
+                             fold(last, region, buffers, r0, rr, c0, cc);
+                         });
+        });
+    }
+
+    /** Deferred softmax division over the finished output rows. */
+    void normalize(const std::string &chainName, Tensor &output,
+                   const ExecOptions &options) const
+    {
+        if (!deferred_) {
+            return;
+        }
+        analysis::RaceChecker *race = beginRacePhase(
+            options, output.numel(), chainName + " softmax normalize");
+        const std::int64_t cols = ops_.back().zLd;
+        dispatchRows(options, "exec.softmax_norm",
+                     static_cast<std::int64_t>(rowSum_.size()),
+                     [&](std::int64_t begin, std::int64_t end) {
+            for (std::int64_t row = begin; row < end; ++row) {
+                if (race != nullptr) {
+                    race->claimRange(row, row * cols, (row + 1) * cols);
+                }
+                const float inv =
+                    1.0f / rowSum_[static_cast<std::size_t>(row)];
+                float *p = output.data() + row * cols;
+                for (std::int64_t j = 0; j < cols; ++j) {
+                    p[j] *= inv;
+                }
+            }
+        });
+    }
+
+  private:
+    /** Calls fn(start, size) per tile of @p axis inside the region. */
+    template <typename Fn>
+    void forEachBlock(AxisId axis, const Region &region, Fn &&fn) const
+    {
+        const std::int64_t tile = tiles_[static_cast<std::size_t>(axis)];
+        const std::int64_t end = region.start(axis) + region.size(axis);
+        for (std::int64_t s = region.start(axis); s < end; s += tile) {
+            fn(s, std::min(tile, end - s));
+        }
+    }
+
+    /** Produces op @p i's output on chip for columns [c0, c0 + cc). */
+    void produce(std::size_t i, const Region &region, float *const *buffers,
+                 std::int64_t c0, std::int64_t cc)
+    {
+        const GemmOp &op = ops_[i];
+        std::memset(buffers[i], 0,
+                    static_cast<std::size_t>(region.size(op.batch) *
+                                             region.size(op.rows) * cc) *
+                        sizeof(float));
+        forEachBlock(op.red, region, [&](std::int64_t r0, std::int64_t rr) {
+            if (op.producer >= 0) {
+                produce(static_cast<std::size_t>(op.producer), region,
+                        buffers, r0, rr);
+            }
+            fold(i, region, buffers, r0, rr, c0, cc);
+        });
+        if (i == 0) {
+            epilogue(buffers[0], region, c0, cc);
+        }
+    }
+
+    /** Folds reduction block [r0, r0 + rr) of op @p i into its output. */
+    void fold(std::size_t i, const Region &region, float *const *buffers,
+              std::int64_t r0, std::int64_t rr, std::int64_t c0,
+              std::int64_t cc) const
+    {
+        const GemmOp &op = ops_[i];
+        const std::int64_t m0 = region.start(op.rows);
+        const std::int64_t mm = region.size(op.rows);
+        for (std::int64_t bi = 0; bi < region.size(op.batch); ++bi) {
+            const std::int64_t b = region.start(op.batch) + bi;
+            const float *x = op.x != nullptr
+                                 ? op.x + b * op.xBatch + m0 * op.xLd + r0
+                                 : buffers[op.producer] + bi * mm * rr;
+            float *z = op.z != nullptr
+                           ? op.z + b * op.zBatch + m0 * op.zLd + c0
+                           : buffers[i] + bi * mm * cc;
+            engine_.matmul(x, op.x != nullptr ? op.xLd : rr,
+                           op.y + b * op.yBatch + r0 * op.yLd + c0, op.yLd,
+                           z, op.z != nullptr ? op.zLd : cc, mm, cc, rr);
+        }
+    }
+
+    /** The chain epilogue on the first intermediate's block. */
+    void epilogue(float *block, const Region &region, std::int64_t c0,
+                  std::int64_t cc)
+    {
+        const GemmOp &op = ops_[0];
+        const std::int64_t bb = region.size(op.batch);
+        const std::int64_t mm = region.size(op.rows);
+        if (epilogue_ == ir::Epilogue::Relu) {
+            for (std::int64_t i = 0; i < bb * mm * cc; ++i) {
+                block[i] = std::max(block[i], 0.0f);
+            }
+            return;
+        }
+        if (epilogue_ != ir::Epilogue::Softmax) {
+            return;
+        }
+        // exp and the row sum on chip; a causal mask zeroes the scores
+        // past the diagonal (global column c0+j beyond global row m0+r),
+        // so a deferred division stays exact.
+        const std::int64_t b0 = region.start(op.batch);
+        const std::int64_t m0 = region.start(op.rows);
+        for (std::int64_t bi = 0; bi < bb; ++bi) {
+            for (std::int64_t r = 0; r < mm; ++r) {
+                float *row = block + (bi * mm + r) * cc;
+                const std::int64_t valid =
+                    softmax_.causal
+                        ? std::clamp<std::int64_t>(m0 + r - c0 + 1, 0, cc)
+                        : cc;
+                const float sum =
+                    kernels::expRowSum(row, valid, softmax_.scale);
+                if (deferred_) {
+                    rowSum_[static_cast<std::size_t>(
+                        (b0 + bi) * rowsExtent_ + m0 + r)] += sum;
+                } else {
+                    const float inv = 1.0f / sum;
+                    for (std::int64_t j = 0; j < valid; ++j) {
+                        row[j] *= inv;
+                    }
+                }
+                std::fill(row + valid, row + cc, 0.0f);
+            }
+        }
+    }
+
+    const ComputeEngine &engine_;
+    std::vector<std::int64_t> tiles_;
+    std::vector<GemmOp> ops_;
+    ir::Epilogue epilogue_;
+    SoftmaxParams softmax_;
+
+    /** The softmax axis is a region loop: row sums now, division later. */
+    bool deferred_ = false;
+    std::int64_t rowsExtent_ = 1;
+    std::vector<float> rowSum_;
+
+    std::vector<AlignedBuffer<float>> scratch_;
+    std::vector<float *> buffers_; ///< [worker * ops + op]
+};
 
 } // namespace
 
@@ -127,6 +377,24 @@ gemmChainShapeC(const GemmChainConfig &c)
                        : std::vector<std::int64_t>{c.m, c.l};
 }
 
+
+void
+runFusedGemms(const ir::Chain &chain, const plan::ExecutionPlan &plan,
+              const ComputeEngine &engine,
+              const std::vector<const Tensor *> &operands, Tensor &output,
+              const SoftmaxParams &softmax, const ExecOptions &options,
+              const char *span)
+{
+    const RegionWalk walk(chain, plan);
+    GemmChainBody body(chain, plan, walk, engine, operands, output, softmax,
+                       execWorkerCount(execPool(options)));
+    output.zero();
+    walk.run(options, span, [&](const Region &region, int worker) {
+        body.visit(region, worker);
+    });
+    body.normalize(chain.name(), output, options);
+}
+
 void
 runFusedGemmChain(const GemmChainConfig &config,
                   const plan::ExecutionPlan &plan,
@@ -138,247 +406,11 @@ runFusedGemmChain(const GemmChainConfig &config,
     checkShape(b, gemmChainShapeB(config), "B");
     checkShape(d, gemmChainShapeD(config), "D");
     checkShape(e, gemmChainShapeE(config), "E");
-
-    // Recover per-axis tiles by name from the plan (the chain that
-    // produced the plan must match the config).
-    const ir::Chain chain = ir::makeGemmChain(config);
-    CHIMERA_CHECK(static_cast<int>(plan.tiles.size()) == chain.numAxes(),
-                  "plan does not match the chain configuration");
-    const std::int64_t tb = tileOf(chain, plan, "b", 1);
-    const std::int64_t tm = tileOf(chain, plan, "m", config.m);
-    const std::int64_t tn = tileOf(chain, plan, "n", config.n);
-    const std::int64_t tk = tileOf(chain, plan, "k", config.k);
-    const std::int64_t tl = tileOf(chain, plan, "l", config.l);
-
-    const std::int64_t bigM = config.m;
-    const std::int64_t bigN = config.n;
-    const std::int64_t bigK = config.k;
-    const std::int64_t bigL = config.l;
-
-    // Split the region loops into the parallel task space and the serial
-    // nest by the plan's concurrency table (dependence analysis output —
-    // this executor holds no axis-level opinion of its own). Under a
-    // sound table b/m are parallel (distinct blocks write disjoint E
-    // rows and softmax row sums) while l — which accumulates into E via
-    // GEMM2 and into rowSum — stays serial ascending inside each task,
-    // so the per-element accumulation order and the output bits match
-    // the serial executor at every thread count.
-    const RegionSchedule sched =
-        partitionRegionLoops(gemmRegionLoops(chain, config, plan),
-                             plan::effectiveConcurrency(chain, plan),
-                             plan.parallelGrain);
-
-    ThreadPool *pool = execPool(options);
-    const int workers = execWorkerCount(pool);
-    ChunkProfile *profile = options.profile;
-
-    analysis::RaceChecker *race = options.raceCheck;
-    if (race != nullptr) {
-        CHIMERA_CHECK(race->numElements() == e.numel(),
-                      "race checker must be sized to the E output");
-        race->beginPhase(chain.name() + " fused blocks");
-    }
-
-    // On-chip region buffer for C (one per worker) and the softmax
-    // row-sum side buffer (shared; blocks write disjoint rows).
-    std::vector<AlignedBuffer<float>> cRegions;
-    cRegions.reserve(static_cast<std::size_t>(workers));
-    for (int w = 0; w < workers; ++w) {
-        cRegions.push_back(allocateAligned<float>(
-            static_cast<std::size_t>(tb * tm * tl)));
-    }
-    std::vector<float> rowSum;
-    if (config.epilogue == Epilogue::Softmax) {
-        rowSum.assign(static_cast<std::size_t>(config.batch * bigM), 0.0f);
-    }
-    e.zero();
-
-    const std::int64_t perBatchA = bigM * bigK;
-    const std::int64_t perBatchB = bigK * bigL;
-    const std::int64_t perBatchD = bigL * bigN;
-    const std::int64_t perBatchE = bigM * bigN;
-
-    // Dispatch over chunks (grain consecutive blocks per worker task);
-    // each covered block executes exactly as it would at grain 1, so
-    // outputs — and race-checker task ids — are grain-invariant.
-    const std::int64_t chunks = sched.chunkCount();
-    if (profile != nullptr) {
-        profile->beginPhase(chunks);
-    }
-    // One clock (obs::nowNanos) feeds both the ChunkProfile critical
-    // path and the trace spans, so their timelines agree exactly.
-    obs::TraceRecorder *const tracer = obs::trace();
-    obs::Span execSpan(tracer, "exec.gemm_chain", "exec");
-    execSpan.arg("chunks", chunks).arg("workers", workers);
-    parallelFor(pool, 0, chunks, [&](std::int64_t chunk, int worker) {
-        const std::int64_t chunkStart = obs::nowNanos();
-        std::int64_t taskLo = -1;
-        std::int64_t taskHi = -1;
-        float *cBase = cRegions[static_cast<std::size_t>(worker)].get();
-        sched.forEachTaskInChunk(chunk, [&](std::int64_t task) {
-        if (taskLo < 0) {
-            taskLo = task;
-        }
-        taskHi = task;
-        const std::vector<BlockRange> parBlocks =
-            decodeBlocks(sched.parallel, task);
-
-        const std::int64_t steps = sched.serialSteps();
-        for (std::int64_t s = 0; s < steps; ++s) {
-            const std::vector<BlockRange> serBlocks =
-                decodeBlocks(sched.serial, s);
-            const BlockRange bBlk =
-                findBlock(parBlocks, serBlocks, 'b', config.batch);
-            const BlockRange mBlk =
-                findBlock(parBlocks, serBlocks, 'm', bigM);
-            const BlockRange lBlk =
-                findBlock(parBlocks, serBlocks, 'l', bigL);
-            const std::int64_t b0 = bBlk.start, bb = bBlk.size;
-            const std::int64_t m0 = mBlk.start, mm = mBlk.size;
-            const std::int64_t l0 = lBlk.start, ll = lBlk.size;
-
-            // Shadow-memory claim: this task owns the E rows the block
-            // writes; two tasks claiming a row is a detected race.
-            if (race != nullptr) {
-                for (std::int64_t bi = 0; bi < bb; ++bi) {
-                    race->claimRange(task,
-                                     ((b0 + bi) * bigM + m0) * bigN,
-                                     ((b0 + bi) * bigM + m0 + mm) * bigN);
-                }
-            }
-            std::memset(cBase, 0,
-                        static_cast<std::size_t>(bb * mm * ll) *
-                            sizeof(float));
-
-            // GEMM1: accumulate all k blocks into the region.
-            for (std::int64_t k0 = 0; k0 < bigK; k0 += tk) {
-                const std::int64_t kk =
-                    std::min<std::int64_t>(tk, bigK - k0);
-                for (std::int64_t bi = 0; bi < bb; ++bi) {
-                    const float *aBlk = a.data() +
-                                        (b0 + bi) * perBatchA +
-                                        m0 * bigK + k0;
-                    const float *bBlk = b.data() +
-                                        (b0 + bi) * perBatchB +
-                                        k0 * bigL + l0;
-                    engine.matmul(aBlk, bigK, bBlk, bigL,
-                                  cBase + bi * mm * ll, ll, mm, ll, kk);
-                }
-            }
-
-            // Fused epilogue on the on-chip region.
-            if (config.epilogue == Epilogue::Relu) {
-                for (std::int64_t i = 0; i < bb * mm * ll; ++i) {
-                    cBase[i] = std::max(cBase[i], 0.0f);
-                }
-            } else if (config.epilogue == Epilogue::Softmax) {
-                // exp now; sum rides along; division deferred (§VI-B).
-                // Causal masking zeroes future positions (global
-                // column l0+j beyond global row m0+r) on chip, so
-                // the deferred normalization stays exact.
-                for (std::int64_t bi = 0; bi < bb; ++bi) {
-                    for (std::int64_t r = 0; r < mm; ++r) {
-                        float *row = cBase + (bi * mm + r) * ll;
-                        const std::int64_t valid =
-                            config.causalMask
-                                ? std::clamp<std::int64_t>(
-                                      m0 + r - l0 + 1, 0, ll)
-                                : ll;
-                        rowSum[static_cast<std::size_t>(
-                            (b0 + bi) * bigM + m0 + r)] +=
-                            kernels::expRowSum(row, valid,
-                                               config.softmaxScale);
-                        std::fill(row + valid, row + ll, 0.0f);
-                    }
-                }
-            }
-
-            // GEMM2: consume the region across all n blocks.
-            for (std::int64_t n0 = 0; n0 < bigN; n0 += tn) {
-                const std::int64_t nn =
-                    std::min<std::int64_t>(tn, bigN - n0);
-                for (std::int64_t bi = 0; bi < bb; ++bi) {
-                    const float *dBlk = d.data() +
-                                        (b0 + bi) * perBatchD +
-                                        l0 * bigN + n0;
-                    float *eBlk = e.data() + (b0 + bi) * perBatchE +
-                                  m0 * bigN + n0;
-                    engine.matmul(cBase + bi * mm * ll, ll, dBlk, bigN,
-                                  eBlk, bigN, mm, nn, ll);
-                }
-            }
-        }
-        });
-        const std::int64_t chunkNanos = obs::nowNanos() - chunkStart;
-        if (profile != nullptr) {
-            profile->recordChunk(
-                chunk, static_cast<double>(chunkNanos) * 1e-9);
-        }
-        if (tracer != nullptr) {
-            tracer->complete("exec.chunk", "exec", chunkStart, chunkNanos,
-                             {{"chunk", chunk},
-                              {"worker", static_cast<std::int64_t>(worker)},
-                              {"task_lo", taskLo},
-                              {"task_hi", taskHi}});
-        }
-    });
-
-    // Deferred softmax division over the finished output; rows are
-    // independent, so they split freely across workers. One span for
-    // the whole phase — per-row events would swamp the trace.
-    if (config.epilogue == Epilogue::Softmax) {
-        if (race != nullptr) {
-            race->beginPhase(chain.name() + " softmax normalize");
-        }
-        const std::int64_t rows = config.batch * bigM;
-        obs::Span normSpan(tracer, "exec.softmax_norm", "exec");
-        normSpan.arg("rows", rows);
-        if (profile != nullptr) {
-            profile->beginPhase(rows);
-        }
-        parallelFor(pool, 0, rows,
-                    [&](std::int64_t row, int) {
-                        const std::int64_t rowStart =
-                            profile != nullptr ? obs::nowNanos() : 0;
-                        if (race != nullptr) {
-                            race->claimRange(row, row * bigN,
-                                             (row + 1) * bigN);
-                        }
-                        const float inv =
-                            1.0f / rowSum[static_cast<std::size_t>(row)];
-                        float *p = e.data() + row * bigN;
-                        for (std::int64_t j = 0; j < bigN; ++j) {
-                            p[j] *= inv;
-                        }
-                        if (profile != nullptr) {
-                            profile->recordChunk(
-                                row,
-                                static_cast<double>(obs::nowNanos() -
-                                                    rowStart) *
-                                    1e-9);
-                        }
-                    });
-    }
-}
-
-std::vector<std::string>
-fusedGemmChainParallelAxes(const GemmChainConfig &config,
-                           const plan::ExecutionPlan &plan)
-{
-    const ir::Chain chain = ir::makeGemmChain(config);
-    CHIMERA_CHECK(static_cast<int>(plan.tiles.size()) == chain.numAxes(),
-                  "plan does not match the chain configuration");
-    const RegionSchedule sched =
-        partitionRegionLoops(gemmRegionLoops(chain, config, plan),
-                             plan::effectiveConcurrency(chain, plan));
-    std::vector<std::string> names;
-    for (const RegionLoop &loop : sched.parallel) {
-        if (loop.axis >= 0) {
-            names.push_back(
-                chain.axes()[static_cast<std::size_t>(loop.axis)].name);
-        }
-    }
-    return names;
+    // Operands by makeGemmChain's tensor ids: A, B, C, D, E.
+    runFusedGemms(ir::makeGemmChain(config), plan, engine,
+                  {&a, &b, nullptr, &d, nullptr}, e,
+                  SoftmaxParams{config.softmaxScale, config.causalMask},
+                  options, "exec.gemm_chain");
 }
 
 void
@@ -400,27 +432,14 @@ runTiledBatchGemm(const ComputeEngine &engine, const Tensor &a,
                   "tiled GEMM shape mismatch");
 
     c.zero();
-    analysis::RaceChecker *race = options.raceCheck;
-    if (race != nullptr) {
-        CHIMERA_CHECK(race->numElements() == c.numel(),
-                      "race checker must be sized to the GEMM output");
-        race->beginPhase("tiled batch gemm");
-    }
+    analysis::RaceChecker *race =
+        beginRacePhase(options, c.numel(), "tiled batch gemm");
     // (batch, m-tile) blocks own disjoint C rows; the k loop accumulates
     // and stays serial ascending inside each block (bitwise-reproducible
     // across thread counts).
     const std::int64_t mTiles = ceilDiv(m, tiles.tm);
-    const std::int64_t tasks = batch * mTiles;
-    ChunkProfile *profile = options.profile;
-    if (profile != nullptr) {
-        profile->beginPhase(tasks);
-    }
-    obs::TraceRecorder *const tracer = obs::trace();
-    obs::Span execSpan(tracer, "exec.tiled_gemm", "exec");
-    execSpan.arg("tasks", tasks);
-    parallelFor(execPool(options), 0, tasks,
-                [&](std::int64_t task, int worker) {
-        const std::int64_t taskStart = obs::nowNanos();
+    dispatchChunks(options, "exec.tiled_gemm", batch * mTiles,
+                   [&](std::int64_t task, int) {
         const std::int64_t bi = task / mTiles;
         const std::int64_t m0 = (task % mTiles) * tiles.tm;
         const float *aBase = a.data() + bi * m * k;
@@ -442,16 +461,40 @@ runTiledBatchGemm(const ComputeEngine &engine, const Tensor &a,
                               cBase + m0 * n + n0, n, mm, nn, kk);
             }
         }
-        const std::int64_t taskNanos = obs::nowNanos() - taskStart;
-        if (profile != nullptr) {
-            profile->recordChunk(
-                task, static_cast<double>(taskNanos) * 1e-9);
-        }
-        if (tracer != nullptr) {
-            tracer->complete("exec.chunk", "exec", taskStart, taskNanos,
-                             {{"chunk", task},
-                              {"worker",
-                               static_cast<std::int64_t>(worker)}});
+        return TaskRange{task, task};
+    });
+}
+
+void
+runUnfusedEpilogue(Tensor &t, ir::Epilogue epilogue,
+                   const SoftmaxParams &softmax, const ExecOptions &options)
+{
+    if (epilogue == Epilogue::None) {
+        return;
+    }
+    const std::int64_t cols = t.shape().back();
+    const std::int64_t matrixRows =
+        t.rank() >= 2 ? t.shape()[static_cast<std::size_t>(t.rank() - 2)]
+                      : 1;
+    dispatchRows(options, "exec.epilogue", t.numel() / cols,
+                 [&](std::int64_t begin, std::int64_t end) {
+        for (std::int64_t r = begin; r < end; ++r) {
+            float *row = t.data() + r * cols;
+            if (epilogue == Epilogue::Relu) {
+                for (std::int64_t j = 0; j < cols; ++j) {
+                    row[j] = row[j] > 0.0f ? row[j] : 0.0f;
+                }
+                continue;
+            }
+            for (std::int64_t j = 0; j < cols; ++j) {
+                row[j] *= softmax.scale;
+            }
+            if (softmax.causal) {
+                std::fill(row + std::min(r % matrixRows + 1, cols),
+                          row + cols,
+                          -std::numeric_limits<float>::infinity());
+            }
+            kernels::softmaxRows(row, 1, cols);
         }
     });
 }
@@ -470,19 +513,9 @@ runUnfusedGemmChain(const GemmChainConfig &config,
     ExecOptions firstOptions = options;
     firstOptions.raceCheck = nullptr;
     runTiledBatchGemm(engine, a, b, scratchC, tiles1, firstOptions);
-    if (config.epilogue == Epilogue::Relu) {
-        ref::reluInPlace(scratchC);
-    } else if (config.epilogue == Epilogue::Softmax) {
-        float *p = scratchC.data();
-        for (std::int64_t i = 0; i < scratchC.numel(); ++i) {
-            p[i] *= config.softmaxScale;
-        }
-        if (config.causalMask) {
-            applyCausalMask(scratchC, config);
-        }
-        kernels::softmaxRows(scratchC.data(),
-                             scratchC.numel() / config.l, config.l);
-    }
+    runUnfusedEpilogue(scratchC, config.epilogue,
+                       SoftmaxParams{config.softmaxScale, config.causalMask},
+                       options);
     runTiledBatchGemm(engine, scratchC, d, e, tiles2, options);
 }
 
@@ -504,7 +537,13 @@ referenceGemmChain(const GemmChainConfig &config, const Tensor &a,
             p[i] *= config.softmaxScale;
         }
         if (config.causalMask) {
-            applyCausalMask(c, config);
+            // Scores past the diagonal drop out of the softmax.
+            for (std::int64_t row = 0; row < config.batch * config.m;
+                 ++row) {
+                std::fill(p + row * config.l + row % config.m + 1,
+                          p + (row + 1) * config.l,
+                          -std::numeric_limits<float>::infinity());
+            }
         }
         ref::softmaxLastDim(c);
     }

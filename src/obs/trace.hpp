@@ -25,8 +25,8 @@
  *
  * All spans share one clock — `obs::nowNanos()`, steady_clock
  * nanoseconds since a process-wide epoch — which is also what the
- * executors feed to `ChunkProfile`, so critical-path attribution and
- * trace timelines agree exactly.
+ * executors feed to `ChunkProfile`, so busy-time totals and trace
+ * timelines agree exactly.
  */
 
 #include <atomic>

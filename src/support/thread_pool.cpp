@@ -329,28 +329,4 @@ staticChunkRange(std::int64_t total, int workers, int worker)
     return {start, start + per + (worker < rem ? 1 : 0)};
 }
 
-int
-staticChunkOwner(std::int64_t index, std::int64_t total, int workers)
-{
-    if (total <= 0 || workers <= 1) {
-        return 0;
-    }
-    // Clamp out-of-range indices to the nearest real item so the
-    // result is always a worker whose range is non-empty. (The old
-    // "index >= total -> workers - 1" clamp pointed at an *empty*
-    // worker whenever total < workers.)
-    index = std::clamp<std::int64_t>(index, 0, total - 1);
-    const std::int64_t per = total / workers;
-    const std::int64_t rem = total % workers;
-    if (per == 0) {
-        return static_cast<int>(index); // fewer items than workers
-    }
-    // The first rem workers own per + 1 items each.
-    const std::int64_t big = (per + 1) * rem;
-    if (index < big) {
-        return static_cast<int>(index / (per + 1));
-    }
-    return static_cast<int>(rem + (index - big) / per);
-}
-
 } // namespace chimera

@@ -285,6 +285,25 @@ TEST(Chain3Exec, RequiresPanelTileForP)
     EXPECT_THROW(runFusedGemmChain3(cfg, plan, exec::ComputeEngine::best(),
                                     a, b, d, f, e),
                  Error);
+
+    // The attention chain normalizes a full scores row on chip, so a
+    // softmax plan with T_P = P but T_L < L is refused as well.
+    ir::GemmChain3Config attn = cfg;
+    attn.epilogue = ir::Epilogue::Softmax;
+    const ir::Chain attnChain = ir::makeGemmChain3(attn);
+    plan::ExecutionPlan attnPlan;
+    attnPlan.perm = plan::permFromOrderString(attnChain, "b,m,l,k,p,n");
+    attnPlan.tiles = attnChain.fullExtents();
+    attnPlan.tiles[static_cast<std::size_t>(
+        ir::axisIdByName(attnChain, "l"))] = 8;
+    EXPECT_THROW(runFusedGemmChain3(attn, attnPlan,
+                                    exec::ComputeEngine::best(), a, b, d, f,
+                                    e),
+                 Error);
+    attnPlan.tiles = attnChain.fullExtents();
+    EXPECT_NO_THROW(runFusedGemmChain3(attn, attnPlan,
+                                       exec::ComputeEngine::best(), a, b, d,
+                                       f, e));
 }
 
 } // namespace
