@@ -83,9 +83,8 @@ planCpu(const ir::Chain &chain,
 /**
  * Thread-aware planCpu: the plan targets @p execThreads workers on the
  * multicore CPU topology, so shared-level per-worker budgets shrink the
- * tiles when the working sets would collide in the LLC, and the plan
- * carries the parallel-axis chunking (plannedThreads / parallelGrain)
- * the chunked executors dispatch by.
+ * tiles when the working sets would collide in the LLC, and the
+ * refinement widens the parallel task grid to cover every worker.
  */
 inline plan::ExecutionPlan
 planCpuThreaded(const ir::Chain &chain, int execThreads,

@@ -61,7 +61,7 @@ runFamily(ir::Epilogue epilogue, const char *title, const RunOptions &run)
         const ir::Chain chain = ir::makeGemmChain(cfg);
         const plan::ExecutionPlan plan = planCpu(chain);
         // The thread-aware plan the parallel column runs:
-        // per-worker LLC budgets plus the parallel-axis chunking.
+        // per-worker LLC budgets plus the task-grid refinement.
         const plan::ExecutionPlan planPar =
             workers > 1 ? planCpuThreaded(chain, workers) : plan;
         GemmChainData data(cfg);
@@ -152,7 +152,7 @@ reportAnalysisOverhead()
         so.memCapacityBytes = kCpuCapacityBytes;
         const analysis::SafetyAnalysis sa = analysis::analyzeSafety(
             chain, plan.tiles, plan::effectiveConcurrency(chain, plan),
-            std::max(1, plan.plannedThreads), plan.parallelGrain,
+            std::max(1, plan.plannedThreads),
             analysis::ShapeDomain::concrete(chain), so);
         safetyMs += sa.totalSeconds * 1e3;
     }

@@ -211,7 +211,6 @@ struct Pass
     const std::vector<AxisConcurrency> &kinds;
     const ShapeDomain &domain;
     int workers;
-    std::vector<std::int64_t> grain; // always numAxes entries, >= 1
     std::vector<SafetyViolation> &violations;
 
     void add(SafetyRule rule, std::string location, std::string message)
@@ -355,8 +354,8 @@ checkWorkspace(Pass &p, const SafetyOptions &options,
  * SB03: interval range analysis of the index arithmetic the lowered
  * nests and dispatch loops perform, at the domain's upper extents
  * (where every quantity is largest): linearized tensor element/byte
- * offsets, per-operator block-grid task counts, chunk strides through
- * the grain multiplications, and the aggregate per-worker workspace.
+ * offsets, per-operator block-grid task counts, and the aggregate
+ * per-worker workspace.
  */
 void
 checkOverflow(Pass &p, std::int64_t maxLiveBytes, bool liveOverflow)
@@ -385,7 +384,7 @@ checkOverflow(Pass &p, std::int64_t maxLiveBytes, bool liveOverflow)
         }
     }
 
-    // Block-grid task counts and chunk arithmetic per operator.
+    // Block-grid task counts per operator.
     for (const ir::OpDecl &op : p.chain.ops()) {
         bool ovf = false;
         std::int64_t tasks = 1;
@@ -402,22 +401,6 @@ checkOverflow(Pass &p, std::int64_t maxLiveBytes, bool liveOverflow)
             p.add(SafetyRule::SB03, op.name,
                   "block-grid task count overflows int64 at the domain's "
                   "upper extents");
-        }
-    }
-
-    // Chunk stride grain*T per parallel axis (the dispatch loops
-    // advance block indices in grain-sized strides).
-    for (AxisId a = 0; a < p.chain.numAxes(); ++a) {
-        const std::size_t i = static_cast<std::size_t>(a);
-        if (p.grain[i] <= 1) {
-            continue;
-        }
-        bool ovf = false;
-        (void)checkedMul(p.grain[i], std::max<std::int64_t>(1, p.tiles[i]),
-                         ovf);
-        if (ovf) {
-            p.add(SafetyRule::SB03, "axis " + axisName(p.chain, a),
-                  "chunk stride grain*tile overflows int64");
         }
     }
 
@@ -545,7 +528,6 @@ checkDisjointness(Pass &p)
 SafetyAnalysis
 analyzeSafety(const Chain &chain, const std::vector<std::int64_t> &tiles,
               const std::vector<AxisConcurrency> &kinds, int workers,
-              const std::vector<std::int64_t> &grain,
               const ShapeDomain &domain, const SafetyOptions &options)
 {
     CHIMERA_CHECK(static_cast<int>(tiles.size()) == chain.numAxes(),
@@ -556,21 +538,10 @@ analyzeSafety(const Chain &chain, const std::vector<std::int64_t> &tiles,
     CHIMERA_CHECK(static_cast<int>(domain.lo.size()) == chain.numAxes() &&
                       static_cast<int>(domain.hi.size()) == chain.numAxes(),
                   "shape domain arity mismatch");
-    CHIMERA_CHECK(grain.empty() ||
-                      static_cast<int>(grain.size()) == chain.numAxes(),
-                  "grain vector must be empty or one entry per axis");
 
     const WallTimer total;
     SafetyAnalysis analysis;
-    Pass pass{chain,
-              tiles,
-              kinds,
-              domain,
-              std::max(1, workers),
-              grain.empty()
-                  ? std::vector<std::int64_t>(
-                        static_cast<std::size_t>(chain.numAxes()), 1)
-                  : grain,
+    Pass pass{chain, tiles, kinds, domain, std::max(1, workers),
               analysis.violations};
 
     {

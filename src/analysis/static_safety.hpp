@@ -3,7 +3,7 @@
 /**
  * @file
  * Static plan-safety analysis: a symbolic abstract interpreter over the
- * chain's affine access maps composed with a plan's tile/order/chunk
+ * chain's affine access maps composed with a plan's tile/order
  * schedule. Where the RC01 shadow-memory race checker and the PL/KP
  * verifiers validate a plan for the *concrete shape* it runs on, this
  * pass proves four properties once, for every shape a domain admits:
@@ -23,10 +23,9 @@
  *    against the same Section V-B budget the KP rules spot-check.
  *  - SB03 (overflow): every index computation in the lowered nests —
  *    linearized element offsets, byte offsets, block-grid task counts,
- *    chunk arithmetic through the grain multiplications, and the
- *    aggregate per-worker workspace allocation — stays within int64 at
- *    the domain's upper extents, established by interval analysis in
- *    128-bit arithmetic.
+ *    and the aggregate per-worker workspace allocation — stays within
+ *    int64 at the domain's upper extents, established by interval
+ *    analysis in 128-bit arithmetic.
  *  - SB04 (race freedom): every parallel-marked axis has symbolically
  *    disjoint output windows for all shapes in the domain — the
  *    shape-independent promotion of the dependence analyzer's
@@ -181,16 +180,14 @@ struct SafetyAnalysis
 /**
  * Runs the four SB rules over @p chain under block tiling @p tiles,
  * declared per-axis concurrency @p kinds (arity == chain.numAxes();
- * pass ConcurrencyTable::kinds() or a plan's table), @p workers
- * planned threads and per-axis chunk @p grain (empty means grain 1).
- * The block execution order influences none of the four properties.
+ * pass ConcurrencyTable::kinds() or a plan's table) and @p workers
+ * planned threads. The block execution order influences none of the
+ * four properties.
  */
 SafetyAnalysis analyzeSafety(const ir::Chain &chain,
                              const std::vector<std::int64_t> &tiles,
                              const std::vector<AxisConcurrency> &kinds,
-                             int workers,
-                             const std::vector<std::int64_t> &grain,
-                             const ShapeDomain &domain,
+                             int workers, const ShapeDomain &domain,
                              const SafetyOptions &options);
 
 } // namespace chimera::analysis

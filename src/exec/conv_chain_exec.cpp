@@ -309,7 +309,6 @@ runTiledConv2d(const ComputeEngine &engine, const Tensor &input,
                     icc * kernel * kernel);
             }
         }
-        return TaskRange{task, task};
     });
 }
 

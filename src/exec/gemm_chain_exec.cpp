@@ -461,7 +461,6 @@ runTiledBatchGemm(const ComputeEngine &engine, const Tensor &a,
                               cBase + m0 * n + n0, n, mm, nn, kk);
             }
         }
-        return TaskRange{task, task};
     });
 }
 

@@ -40,7 +40,7 @@ setBlock(std::int64_t *bounds, const RegionLoop &loop, std::int64_t block)
 void
 dispatchChunks(const ExecOptions &options, const char *span,
                std::int64_t chunks,
-               const std::function<TaskRange(std::int64_t, int)> &body)
+               const std::function<void(std::int64_t, int)> &body)
 {
     ThreadPool *pool = execPool(options);
     ChunkProfile *profile = options.profile;
@@ -49,7 +49,7 @@ dispatchChunks(const ExecOptions &options, const char *span,
     dispatchSpan.arg("chunks", chunks).arg("workers", execWorkerCount(pool));
     parallelFor(pool, 0, chunks, [&](std::int64_t chunk, int worker) {
         const std::int64_t start = obs::nowNanos();
-        const TaskRange tasks = body(chunk, worker);
+        body(chunk, worker);
         const std::int64_t nanos = obs::nowNanos() - start;
         if (profile != nullptr) {
             profile->recordChunk(nanos);
@@ -57,9 +57,7 @@ dispatchChunks(const ExecOptions &options, const char *span,
         if (tracer != nullptr) {
             tracer->complete("exec.chunk", "exec", start, nanos,
                              {{"chunk", chunk},
-                              {"worker", static_cast<std::int64_t>(worker)},
-                              {"task_lo", tasks.lo},
-                              {"task_hi", tasks.hi}});
+                              {"worker", static_cast<std::int64_t>(worker)}});
         }
     });
 }
@@ -75,7 +73,6 @@ dispatchRows(const ExecOptions &options, const char *span,
         const ChunkRange range = staticChunkRange(
             rows, static_cast<int>(chunks), static_cast<int>(chunk));
         fn(range.begin, range.end);
-        return TaskRange{range.begin, range.end - 1};
     });
 }
 
@@ -111,11 +108,7 @@ RegionWalk::RegionWalk(const ir::Chain &chain,
         RegionLoop loop{axis, extents_[a],
                         std::max<std::int64_t>(1, plan.tiles[a])};
         if (kinds[a] == analysis::AxisConcurrency::Parallel) {
-            if (a < plan.parallelGrain.size()) {
-                loop.grain =
-                    std::max<std::int64_t>(1, plan.parallelGrain[a]);
-            }
-            chunks_ *= ceilDiv(loop.blocks(), loop.grain);
+            tasks_ *= loop.blocks();
             parallel_.push_back(loop);
         } else {
             serialSteps_ *= loop.blocks();
@@ -146,29 +139,16 @@ RegionWalk::makeRegion() const
     return region;
 }
 
-std::int64_t
-RegionWalk::setTask(Region &region, std::int64_t chunk,
-                    std::int64_t t) const
+void
+RegionWalk::setTask(Region &region, std::int64_t task) const
 {
-    // Decode the chunk over the per-loop chunk grid, then t over the
-    // chunk's block sub-ranges (first loop most significant in both).
-    std::int64_t count = 1;
-    std::int64_t stride = 1;
-    region.task_ = 0;
+    // Decode the mixed-radix id, first loop most significant.
+    region.task_ = task;
     for (std::size_t i = parallel_.size(); i-- > 0;) {
-        const RegionLoop &loop = parallel_[i];
-        const std::int64_t chunks = ceilDiv(loop.blocks(), loop.grain);
-        const std::int64_t lo = (chunk % chunks) * loop.grain;
-        const std::int64_t n = std::min(loop.blocks() - lo, loop.grain);
-        chunk /= chunks;
-        const std::int64_t block = lo + t % n;
-        t /= n;
-        count *= n;
-        setBlock(region.bounds_.get(), loop, block);
-        region.task_ += block * stride;
-        stride *= loop.blocks();
+        setBlock(region.bounds_.get(), parallel_[i],
+                 task % parallel_[i].blocks());
+        task /= parallel_[i].blocks();
     }
-    return count;
 }
 
 void

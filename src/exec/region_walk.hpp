@@ -13,13 +13,13 @@
  * three-GEMM chain, b,oc1,oh,ow for the conv chain.
  *
  * Loops the plan's concurrency table (plan::effectiveConcurrency) marks
- * Parallel form the task space and are hoisted outside; the plan's
- * parallelGrain groups their blocks into dispatch chunks. The other
- * region loops run serially, ascending, inside each task. A task id is
- * the mixed-radix index over the parallel blocks, so race-checker keys
- * and each task's work are the same at every grain and thread count —
- * and a plan that mis-declares a reduction axis parallel is executed
- * as declared, which is what lets the race checker catch it.
+ * Parallel form the task space and are hoisted outside; each task is
+ * one dispatch index, which the pool hands to whichever worker claims
+ * it next. The other region loops run serially, ascending, inside each
+ * task. A task id is the mixed-radix index over the parallel blocks, so
+ * race-checker keys and each task's work are the same at every thread
+ * count — and a plan that mis-declares a reduction axis parallel is
+ * executed as declared, which is what lets the race checker catch it.
  */
 
 #include <cstdint>
@@ -35,25 +35,17 @@
 
 namespace chimera::exec {
 
-/** First and last task id one dispatch chunk ran. */
-struct TaskRange
-{
-    std::int64_t lo = 0;
-    std::int64_t hi = 0;
-};
-
 /**
- * The dispatch loop of every executor: runs @p body(chunk, worker),
- * which returns the tasks it covered, once for each chunk in
- * [0, @p chunks) on the pool @p options resolve to (serially when that
- * is one thread), inside a span named @p span. Each chunk's wall time
- * is added to options.profile and, when tracing, recorded as an
- * `exec.chunk` event with its chunk, worker and task range. Spans and
- * profile share one clock, obs::nowNanos.
+ * The dispatch loop of every executor: runs @p body(chunk, worker) once
+ * for each chunk in [0, @p chunks) on the pool @p options resolve to
+ * (serially when that is one thread), inside a span named @p span. Each
+ * chunk's wall time is added to options.profile and, when tracing,
+ * recorded as an `exec.chunk` event with its chunk and worker. Spans
+ * and profile share one clock, obs::nowNanos.
  */
-void dispatchChunks(
-    const ExecOptions &options, const char *span, std::int64_t chunks,
-    const std::function<TaskRange(std::int64_t, int)> &body);
+void dispatchChunks(const ExecOptions &options, const char *span,
+                    std::int64_t chunks,
+                    const std::function<void(std::int64_t, int)> &body);
 
 /**
  * Row-parallel dispatch: splits rows [0, @p rows) into one contiguous
@@ -78,9 +70,6 @@ struct RegionLoop
     ir::AxisId axis = -1;
     std::int64_t extent = 1;
     std::int64_t tile = 1;
-
-    /** Blocks per dispatch chunk (1 for serial loops). */
-    std::int64_t grain = 1;
 
     std::int64_t blocks() const { return ceilDiv(extent, tile); }
 };
@@ -137,49 +126,44 @@ class RegionWalk
         return isRegionLoop_[static_cast<std::size_t>(axis)];
     }
 
-    /** Dispatch chunks under the plan's grain. */
-    std::int64_t chunkCount() const { return chunks_; }
+    /** Parallel tasks: the product of the parallel loops' blocks. */
+    std::int64_t taskCount() const { return tasks_; }
 
     /** A region sized for this chain, every axis at its full extent. */
     Region makeRegion() const;
 
     /**
-     * Visits every region of chunk @p chunk in walk order — its tasks
-     * ascending, each task's serial blocks ascending — calling
-     * @p visit(region) with @p region updated in place.
+     * Visits every region of task @p task in walk order — its serial
+     * blocks ascending — calling @p visit(region) with @p region updated
+     * in place.
      */
     template <typename Visit>
-    TaskRange forEachRegion(std::int64_t chunk, Region &region,
-                            Visit &&visit) const
+    void forEachRegion(std::int64_t task, Region &region,
+                       Visit &&visit) const
     {
-        TaskRange tasks{-1, -1};
-        for (std::int64_t t = 0, count = 1; t < count; ++t) {
-            count = setTask(region, chunk, t);
-            tasks.lo = t == 0 ? region.task_ : tasks.lo;
-            tasks.hi = region.task_;
-            for (std::int64_t s = 0; s < serialSteps_; ++s) {
-                setStep(region, s);
-                visit(static_cast<const Region &>(region));
-            }
+        setTask(region, task);
+        for (std::int64_t s = 0; s < serialSteps_; ++s) {
+            setStep(region, s);
+            visit(static_cast<const Region &>(region));
         }
-        return tasks;
     }
 
-    /** Every region of every chunk, serially, in dispatch order. */
+    /** Every region of every task, serially, in task order. */
     template <typename Visit>
     void forEachRegion(Visit &&visit) const
     {
         Region region = makeRegion();
-        for (std::int64_t chunk = 0; chunk < chunks_; ++chunk) {
-            forEachRegion(chunk, region, visit);
+        for (std::int64_t task = 0; task < tasks_; ++task) {
+            forEachRegion(task, region, visit);
         }
     }
 
     /**
      * Runs @p visit(region, worker) over every region through
-     * dispatchChunks under span @p span. With options.raceCheck set, a
-     * "<chain> fused blocks" phase is opened and every region claims
-     * the output elements it writes, keyed by its task id.
+     * dispatchChunks under span @p span, one task per dispatch chunk.
+     * With options.raceCheck set, a "<chain> fused blocks" phase is
+     * opened and every region claims the output elements it writes,
+     * keyed by its task id.
      */
     template <typename Visit>
     void run(const ExecOptions &options, const char *span,
@@ -191,10 +175,10 @@ class RegionWalk
         for (int w = execWorkerCount(execPool(options)); w > 0; --w) {
             regions.push_back(makeRegion());
         }
-        dispatchChunks(options, span, chunks_,
-                       [&](std::int64_t chunk, int worker) {
+        dispatchChunks(options, span, tasks_,
+                       [&](std::int64_t task, int worker) {
             Region &region = regions[static_cast<std::size_t>(worker)];
-            return forEachRegion(chunk, region, [&](const Region &r) {
+            forEachRegion(task, region, [&](const Region &r) {
                 if (race != nullptr) {
                     claimOutput(*race, r, 0, 0);
                 }
@@ -209,12 +193,8 @@ class RegionWalk
         return axis < 0 ? 1 : extents_[static_cast<std::size_t>(axis)];
     }
 
-    /**
-     * Sets @p region to task @p t of chunk @p chunk (its parallel
-     * blocks and task id); returns the chunk's task count.
-     */
-    std::int64_t setTask(Region &region, std::int64_t chunk,
-                         std::int64_t t) const;
+    /** Sets @p region to task @p task: its parallel blocks and id. */
+    void setTask(Region &region, std::int64_t task) const;
 
     /** Sets @p region's serial blocks to step @p s of a task. */
     void setStep(Region &region, std::int64_t s) const;
@@ -231,7 +211,7 @@ class RegionWalk
     std::vector<RegionLoop> parallel_;
     std::vector<RegionLoop> serial_;
     std::vector<bool> isRegionLoop_; ///< by AxisId
-    std::int64_t chunks_ = 1;
+    std::int64_t tasks_ = 1;
     std::int64_t serialSteps_ = 1;
 
     /** The axis of each output dim (-1: constant), outermost first. */

@@ -47,14 +47,11 @@ optionsSignature(const PlannerOptions &options)
     out += options.onlyExecutableOrders ? "1" : "0";
     out += ";interio=";
     out += options.model.intermediatesAreIO ? "1" : "0";
-    // Thread-aware knobs: an 8-worker chunked plan must never be served
-    // to a 1-thread run (and vice versa), and a different topology or
-    // grain target changes the tiles. `threads` (the search loop) is
-    // deliberately absent — it never changes the plan.
+    // Thread-aware knobs: an 8-worker plan must never be served to a
+    // 1-thread run (and vice versa), and a different topology changes
+    // the tiles. `threads` (the search loop) is deliberately absent —
+    // it never changes the plan.
     out += ";xthreads=" + std::to_string(std::max(1, options.execThreads));
-    if (options.execThreads > 1) {
-        out += ";cpw=" + std::to_string(options.chunksPerWorker);
-    }
     if (options.topology.hasTopology()) {
         out += ";topo=" + options.topology.name + ":" +
                std::to_string(options.topology.cores);
@@ -316,6 +313,17 @@ PlanCache::lookup(const ir::Chain &chain, const PlannerOptions &options)
     cacheMetrics().misses.add();
     span.arg("outcome", std::string("miss"));
     return std::nullopt;
+}
+
+std::optional<ExecutionPlan>
+PlanCache::memoryEntry(const std::string &fingerprint) const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = memory_.find(fingerprint);
+    if (it == memory_.end()) {
+        return std::nullopt;
+    }
+    return it->second;
 }
 
 void

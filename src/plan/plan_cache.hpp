@@ -111,6 +111,14 @@ class PlanCache
     std::optional<ExecutionPlan> lookup(const ir::Chain &chain,
                                         const PlannerOptions &options);
 
+    /**
+     * The memory tier's plan for @p fingerprint, or nullopt. Reads no
+     * file and counts nothing: a caller that already missed uses it to
+     * pick up a plan a concurrent caller stored since.
+     */
+    std::optional<ExecutionPlan>
+    memoryEntry(const std::string &fingerprint) const;
+
     /** Records a freshly planned schedule in both tiers. */
     void store(const ir::Chain &chain, const PlannerOptions &options,
                const ExecutionPlan &plan);

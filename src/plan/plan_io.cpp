@@ -21,14 +21,12 @@ lineContext(int lineNumber, const std::string &line)
 }
 
 /**
- * Splits the value of a "tiles:"/"grain:" line into (axis, integer)
- * pairs. Rejects tokens without an axis or a value, repeated axes and
- * values that are not full decimal integers; @p what names the line's
- * kind in the message.
+ * Splits the value of a "tiles:" line into (axis, integer) pairs.
+ * Rejects tokens without an axis or a value, repeated axes and values
+ * that are not full decimal integers.
  */
 std::vector<std::pair<std::string, std::int64_t>>
-parseAxisValues(const std::string &value, const char *what,
-                const std::string &context)
+parseAxisValues(const std::string &value, const std::string &context)
 {
     std::vector<std::pair<std::string, std::int64_t>> out;
     std::set<std::string> seenAxes;
@@ -47,12 +45,12 @@ parseAxisValues(const std::string &value, const char *what,
         tokenStart = tokenEnd;
         const std::size_t eq = token.find('=');
         if (eq == std::string::npos || eq == 0) {
-            throw Error(context + ": malformed " + what + " token \"" +
-                        token + "\"");
+            throw Error(context + ": malformed tile token \"" + token +
+                        "\"");
         }
         const std::string axisName = token.substr(0, eq);
         if (!seenAxes.insert(axisName).second) {
-            throw Error(context + ": duplicate " + what + " for axis \"" +
+            throw Error(context + ": duplicate tile for axis \"" +
                         axisName + "\"");
         }
         out.emplace_back(axisName,
@@ -82,29 +80,10 @@ serializePlan(const ir::Chain &chain, const ExecutionPlan &plan,
             << plan.tiles[static_cast<std::size_t>(a)];
     }
     out << "\n";
-    bool anyGrain = false;
-    for (std::int64_t g : plan.parallelGrain) {
-        anyGrain = anyGrain || g > 1;
-    }
-    // Serial plans omit both lines so pre-thread-aware documents stay
+    // Serial plans omit the line so pre-thread-aware documents stay
     // byte-identical (and cache entries written by them keep parsing).
-    if (plan.plannedThreads > 1 || anyGrain) {
-        out << "threads: " << std::max(1, plan.plannedThreads) << "\n";
-    }
-    if (anyGrain) {
-        CHIMERA_CHECK(static_cast<int>(plan.parallelGrain.size()) ==
-                          chain.numAxes(),
-                      "plan grain arity does not match the chain");
-        out << "grain:";
-        for (int a = 0; a < chain.numAxes(); ++a) {
-            if (plan.parallelGrain[static_cast<std::size_t>(a)] > 1) {
-                out << " "
-                    << chain.axes()[static_cast<std::size_t>(a)].name
-                    << "="
-                    << plan.parallelGrain[static_cast<std::size_t>(a)];
-            }
-        }
-        out << "\n";
+    if (plan.plannedThreads > 1) {
+        out << "threads: " << plan.plannedThreads << "\n";
     }
     return out.str();
 }
@@ -169,7 +148,7 @@ parsePlanDocument(const std::string &text)
             doc.order = value;
             doc.haveOrder = true;
         } else if (key == "tiles") {
-            doc.tiles = parseAxisValues(value, "tile", context);
+            doc.tiles = parseAxisValues(value, context);
             doc.haveTiles = true;
         } else if (key == "threads") {
             doc.threads = parseInt64Strict(value, context);
@@ -178,16 +157,6 @@ parsePlanDocument(const std::string &text)
                             std::to_string(doc.threads));
             }
             doc.haveThreads = true;
-        } else if (key == "grain") {
-            doc.grain = parseAxisValues(value, "grain", context);
-            for (const auto &[axisName, g] : doc.grain) {
-                if (g < 1) {
-                    throw Error(context + ": grain for axis \"" +
-                                axisName + "\" must be >= 1, got " +
-                                std::to_string(g));
-                }
-            }
-            doc.haveGrain = true;
         } else {
             throw Error(context + ": unknown plan key \"" + key + "\"");
         }
@@ -220,26 +189,7 @@ deserializePlan(const ir::Chain &chain, const std::string &text,
     model::validatePermutation(chain, plan.perm);
     model::validateTiles(chain, plan.tiles);
 
-    // Thread-aware chunking lines: a grain only makes sense relative to
-    // the worker count it was solved for.
-    CHIMERA_CHECK(!doc.haveGrain || doc.haveThreads,
-                  "plan document has a grain line without a threads line");
     plan.plannedThreads = static_cast<int>(doc.threads);
-    if (doc.haveThreads) {
-        plan.parallelGrain.assign(static_cast<std::size_t>(chain.numAxes()),
-                                  1);
-        for (const auto &[axisName, g] : doc.grain) {
-            ir::AxisId axis = -1;
-            try {
-                axis = ir::axisIdByName(chain, axisName);
-            } catch (const Error &) {
-                throw Error("plan grain declares axis \"" + axisName +
-                            "\" which chain " + chain.name() +
-                            " does not have");
-            }
-            plan.parallelGrain[static_cast<std::size_t>(axis)] = g;
-        }
-    }
 
     // Derived facts: recomputed from the decisions, never read.
     plan.concurrency =

@@ -13,7 +13,6 @@
  *     order: m,l,k,n
  *     tiles: m=128 l=64 k=64 n=64
  *     threads: 8
- *     grain: m=2
  *
  * Everything derived from those decisions — the DV/MU predictions, the
  * per-axis concurrency table, the SB01-SB04 safety certificate — is
@@ -21,13 +20,9 @@
  * with itself. The order search's statistics are provenance of one
  * planner run and are not stored either.
  *
- * The threads/grain lines carry the thread-aware chunking: the worker
- * count the plan was solved for and the blocks-per-dispatch-chunk grain
- * of each parallel region axis (axes omitted from "grain:" default to
- * 1). Both are omitted for serial plans (threads == 1, all-1 grain), so
- * pre-thread-aware documents remain byte-identical. "threads:" must be
- * >= 1 and grain values must be >= 1 on axes the chain has; a "grain:"
- * line without "threads:" is rejected.
+ * The threads line carries the worker count the plan was solved for.
+ * It is omitted for serial plans (threads == 1), so pre-thread-aware
+ * documents remain byte-identical; "threads:" must be >= 1.
  *
  * The fingerprint line is optional in hand-written documents and
  * mandatory for plan-cache entries: it hashes the chain structure plus
@@ -41,8 +36,8 @@
  * every failure is reported as chimera::Error naming the offending line
  * — malformed input never escapes as a raw std:: exception. A cache
  * entry written by an older format (e.g. one carrying a `concurrency:`,
- * `safety:`, `search:`, `volume-bytes:` or `mem-bytes:` line) is
- * therefore unreadable and gets replanned. The parsed plan is then
+ * `safety:`, `search:`, `volume-bytes:`, `mem-bytes:` or dispatch-grain
+ * line) is therefore unreadable and gets replanned. The parsed plan is then
  * validated against the chain it is applied to (axis names, tile
  * ranges, permutation completeness).
  */
@@ -83,20 +78,16 @@ struct ParsedPlanDoc
     /** Value of the "threads:" line (>= 1 enforced at parse time). */
     std::int64_t threads = 1;
 
-    /** (axis name, grain) pairs from the "grain:" line, in order. */
-    std::vector<std::pair<std::string, std::int64_t>> grain;
-
     bool haveOrder = false;
     bool haveTiles = false;
     bool haveThreads = false;
-    bool haveGrain = false;
 };
 
 /**
  * Syntax pass: parses a v1/v2 document into its raw fields without any
  * chain in hand. Throws chimera::Error — naming the offending line — on
  * malformed input (bad header, keyless lines, unknown or duplicate keys,
- * duplicate tile/grain axes, non-numeric values); axis names and value
+ * duplicate tile axes, non-numeric values); axis names and value
  * ranges are *not* checked here, that is the binding/verification
  * layer's job.
  */

@@ -119,8 +119,7 @@ certifyPlan(const Chain &chain, const PlannerOptions &options,
     so.topology = options.topology;
     const analysis::SafetyAnalysis sa = analysis::analyzeSafety(
         chain, plan.tiles, effectiveConcurrency(chain, plan),
-        plan.plannedThreads, plan.parallelGrain,
-        analysis::ShapeDomain::concrete(chain), so);
+        plan.plannedThreads, analysis::ShapeDomain::concrete(chain), so);
     plan.safety = sa.certificate;
     span.arg("chain", chain.name())
         .arg("certified", sa.certificate.certified ? 1 : 0);
@@ -234,66 +233,54 @@ axisBlocks(const Chain &chain, const std::vector<std::int64_t> &tiles,
                                1, tiles[static_cast<std::size_t>(axis)]));
 }
 
-/** Chunks over the parallel region grid under @p grain. */
+/** Tasks of the parallel region grid: the product of its blocks. */
 std::int64_t
-chunkCount(const Chain &chain, const std::vector<std::int64_t> &tiles,
-           const std::vector<std::int64_t> &grain,
-           const std::vector<AxisId> &paxes)
+taskCount(const Chain &chain, const std::vector<std::int64_t> &tiles,
+          const std::vector<AxisId> &paxes)
 {
     std::int64_t count = 1;
     for (AxisId a : paxes) {
-        const std::int64_t g =
-            grain.empty() ? 1 : grain[static_cast<std::size_t>(a)];
-        count *= ceilDiv(axisBlocks(chain, tiles, a),
-                         std::max<std::int64_t>(1, g));
+        count *= axisBlocks(chain, tiles, a);
     }
     return count;
 }
 
 /**
- * The thread-aware chunking step (runs on the winning plan only).
- *
- * 1. Refinement: while the parallel region grid has fewer blocks than
- *    plannedThreads workers (mandatory) or an unbalanced non-multiple
- *    count below chunksPerWorker * workers (best-effort), re-solve with
- *    the next-smaller candidate tile on one parallel axis — picking the
- *    re-solve with the smallest predicted volume — until the grid is
- *    worker-divisible or wide enough.
- * 2. Grain: coarsen innermost-first (doubling blocks per chunk) until
- *    at most about chunksPerWorker * workers chunks remain, never going
- *    below one chunk per worker.
+ * Tasks per worker past which the refinement below stops chasing a
+ * worker-divisible task count: with this many, the pool's cursor
+ * balances the remainder.
+ */
+constexpr std::int64_t kBalancedTasksPerWorker = 4;
+
+/**
+ * The thread-aware refinement step (runs on the winning plan only):
+ * while the parallel region grid has fewer tasks than plannedThreads
+ * workers (mandatory) or an unbalanced non-multiple count below
+ * kBalancedTasksPerWorker * workers (best-effort), re-solve with the
+ * next-smaller candidate tile on one parallel axis — picking the
+ * re-solve with the smallest predicted volume — until the grid is
+ * worker-divisible or wide enough.
  *
  * Refinement re-runs the dependence analysis after every accepted
  * re-solve (concurrency is tile-dependent), so the emitted table always
  * matches the final tiles.
  */
 void
-applyThreadChunking(const Chain &chain, ExecutionPlan &plan,
-                    const PlannerOptions &options,
-                    const solver::TileConstraints &constraints,
-                    const solver::TileSolverOptions &solverOptions,
-                    bool allowRefinement)
+refineForThreads(const Chain &chain, ExecutionPlan &plan,
+                 const solver::TileConstraints &constraints,
+                 const solver::TileSolverOptions &solverOptions)
 {
-    const int workers = std::max(1, options.execThreads);
-    plan.plannedThreads = workers;
-    if (workers <= 1) {
-        // Serial plans carry no chunking: byte-identical v2 documents
-        // and bit-identical behavior with the pre-thread-aware planner.
-        plan.parallelGrain.clear();
+    const std::int64_t target = plan.plannedThreads;
+    if (target <= 1) {
+        // Serial plans are the thread-oblivious planner's, bit for bit.
         return;
     }
-
-    const std::int64_t target = workers;
-    const std::int64_t balanced =
-        static_cast<std::int64_t>(std::max(1, options.chunksPerWorker)) *
-        target;
+    const std::int64_t balanced = kBalancedTasksPerWorker * target;
 
     std::vector<AxisId> paxes = parallelRegionAxes(chain, plan.concurrency);
-    std::vector<std::int64_t> grain(
-        static_cast<std::size_t>(chain.numAxes()), 1);
-    std::int64_t count = chunkCount(chain, plan.tiles, grain, paxes);
+    std::int64_t count = taskCount(chain, plan.tiles, paxes);
 
-    for (int iter = 0; allowRefinement && iter < 64; ++iter) {
+    for (int iter = 0; iter < 64; ++iter) {
         const bool mandatory = count < target;
         const bool unbalanced = count % target != 0 && count < balanced;
         if (!mandatory && !unbalanced) {
@@ -332,7 +319,7 @@ applyThreadChunking(const Chain &chain, ExecutionPlan &plan,
                 continue;
             }
             const std::int64_t newCount =
-                chunkCount(chain, sol.tiles, grain, paxes);
+                taskCount(chain, sol.tiles, paxes);
             if (newCount <= count) {
                 continue;
             }
@@ -357,42 +344,6 @@ applyThreadChunking(const Chain &chain, ExecutionPlan &plan,
         paxes = parallelRegionAxes(chain, plan.concurrency);
         count = bestCount;
     }
-
-    // Grain coarsening: merge consecutive innermost blocks into one
-    // dispatch chunk while more than ~chunksPerWorker tasks per worker
-    // remain. Innermost-first keeps each chunk's blocks contiguous in
-    // the region walk (best reuse of the per-worker regions).
-    std::vector<AxisId> byDepth; // paxes ordered outermost -> innermost
-    for (AxisId a : plan.perm) {
-        if (std::find(paxes.begin(), paxes.end(), a) != paxes.end()) {
-            byDepth.push_back(a);
-        }
-    }
-    while (count > balanced) {
-        bool coarsened = false;
-        for (auto it = byDepth.rbegin(); it != byDepth.rend(); ++it) {
-            const AxisId a = *it;
-            const std::size_t ai = static_cast<std::size_t>(a);
-            if (ceilDiv(axisBlocks(chain, plan.tiles, a), grain[ai]) <=
-                1) {
-                continue;
-            }
-            grain[ai] *= 2;
-            const std::int64_t newCount =
-                chunkCount(chain, plan.tiles, grain, paxes);
-            if (newCount < target) {
-                grain[ai] /= 2; // would starve workers
-                continue;
-            }
-            count = newCount;
-            coarsened = true;
-            break;
-        }
-        if (!coarsened) {
-            break;
-        }
-    }
-    plan.parallelGrain = std::move(grain);
 }
 
 /**
@@ -542,8 +493,8 @@ planChainUncached(const Chain &chain, const PlannerOptions &options)
     searchSpan.end();
     best.concurrency =
         analysis::analyzeConcurrency(chain, best.tiles).kinds();
-    applyThreadChunking(chain, best, options, constraints, solverOptions,
-                        /*allowRefinement=*/true);
+    best.plannedThreads = std::max(1, options.execThreads);
+    refineForThreads(chain, best, constraints, solverOptions);
     // Certification failures do not fail planning: the plan is returned
     // uncertified, and gates that require a certificate refuse it.
     const analysis::SafetyAnalysis sa = certifyPlan(chain, options, best);
@@ -686,10 +637,9 @@ planFixedOrder(const Chain &chain, const std::vector<AxisId> &perm,
     plan.concurrency =
         analysis::analyzeConcurrency(chain, plan.tiles).kinds();
     // Fixed-order plans emulate thread-oblivious libraries: they get
-    // the per-worker budget and a dispatch grain, but no tile
-    // refinement (the planner's edge in the scaling comparison).
-    applyThreadChunking(chain, plan, options, constraints, solverOptions,
-                        /*allowRefinement=*/false);
+    // the per-worker budget but no tile refinement (the planner's edge
+    // in the scaling comparison).
+    plan.plannedThreads = std::max(1, options.execThreads);
     (void)certifyPlan(chain, options, plan);
     plan.planSeconds = timer.seconds();
     if (options.verify) {

@@ -47,23 +47,11 @@ struct ExecutionPlan
     std::vector<analysis::AxisConcurrency> concurrency;
 
     /**
-     * Worker count the chunking below was solved for (1 = serial plan;
+     * Worker count the tiles were solved for (1 = serial plan;
      * PlannerOptions::execThreads). Part of the plan fingerprint: a
-     * plan chunked for 8 workers is never served to a 1-thread run.
+     * plan refined for 8 workers is never served to a 1-thread run.
      */
     int plannedThreads = 1;
-
-    /**
-     * Chunk grain per axis (indexed by AxisId): how many consecutive
-     * blocks of a proven-parallel region axis one dispatch chunk
-     * covers. Executors group that many blocks into one worker task
-     * (serially, ascending) instead of dispatching raw blocks, which
-     * bounds dispatch overhead on huge block grids while the planner's
-     * refinement step guarantees enough chunks for plannedThreads
-     * workers. Empty (or all 1) means one block per chunk — the
-     * pre-thread-aware behavior.
-     */
-    std::vector<std::int64_t> parallelGrain;
 
     /**
      * Static-safety certificate (SB01-SB04) over the concrete shape,
@@ -149,10 +137,9 @@ struct PlannerOptions
      * planner (a) clamps the capacity budget to each worker's share of
      * the topology's shared levels, (b) refines proven-parallel region
      * tiles until the parallel block grid has at least execThreads
-     * chunks (preferring a worker-balanced multiple), and (c) emits the
-     * chunk grain + thread count into the plan. 1 (default) reproduces
-     * the thread-oblivious planner exactly. Part of the plan
-     * fingerprint.
+     * tasks (preferring a worker-balanced multiple), and (c) records
+     * the thread count in the plan. 1 (default) reproduces the
+     * thread-oblivious planner exactly. Part of the plan fingerprint.
      */
     int execThreads = 1;
 
@@ -164,15 +151,6 @@ struct PlannerOptions
      * fingerprint when non-empty.
      */
     model::MachineModel topology;
-
-    /**
-     * Dispatch-grain target: the chunking step coarsens the parallel
-     * grid to at most about chunksPerWorker * execThreads chunks so
-     * huge block grids do not pay per-block dispatch overhead, while
-     * refinement stops once the grid is a balanced multiple of the
-     * worker count (or at least this many chunks per worker).
-     */
-    int chunksPerWorker = 4;
 
     /**
      * Optional plan cache consulted before enumeration and updated with
@@ -229,7 +207,7 @@ effectiveConcurrency(const ir::Chain &chain, const ExecutionPlan &plan);
  * Runs the static safety analyzer on @p plan over the concrete shape
  * (under the options' capacity/topology) and attaches the certificate
  * to it — certified only when every SB rule proves. Used by the
- * planner after chunking and by PlanCache::lookup on every loaded
+ * planner after thread refinement and by PlanCache::lookup on every loaded
  * plan. Returns the full analysis (violations and per-rule timings).
  */
 analysis::SafetyAnalysis certifyPlan(const ir::Chain &chain,

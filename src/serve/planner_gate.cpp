@@ -65,6 +65,15 @@ PlannerGate::once(const std::string &key,
         }
         return flight->plan;
     }
+    // The caller missed the cache, but a flight for this key may have
+    // finished since: its leader stored the plan before erasing the
+    // flight, so the memory tier has it, and planning again would make
+    // a second plan for one key.
+    if (std::optional<plan::ExecutionPlan> stored =
+            cache_.memoryEntry(key)) {
+        flightsJoined_.fetch_add(1, std::memory_order_relaxed);
+        return *stored;
+    }
     const auto flight = std::make_shared<Flight>();
     flights_[key] = flight;
     flightsLed_.fetch_add(1, std::memory_order_relaxed);

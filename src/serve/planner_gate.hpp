@@ -61,7 +61,7 @@ struct PlannerGateOptions
 struct PlannerGateStats
 {
     int flightsLed = 0; ///< planner actually ran (once per cold key)
-    int flightsJoined = 0; ///< waited on a concurrent leader's plan
+    int flightsJoined = 0; ///< shared a concurrent leader's plan
     int derivedPlans = 0; ///< fixed-order batched derivations solved
     int certifiedPlans = 0; ///< plans served with an SB certificate
     plan::PlanCacheStats cache; ///< underlying plan-cache counters
@@ -103,9 +103,10 @@ class PlannerGate
     };
 
     /**
-     * Runs @p planFn under single-flight for @p key: the first caller
-     * plans, concurrent callers wait and share the result (or the
-     * leader's exception).
+     * Runs @p planFn under single-flight for @p key (the plan's cache
+     * fingerprint): the first caller plans, concurrent callers wait and
+     * share the result (or the leader's exception), and a caller that
+     * arrives after a flight finished takes the plan it stored.
      */
     plan::ExecutionPlan
     once(const std::string &key,

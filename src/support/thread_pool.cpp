@@ -1,6 +1,7 @@
 #include "support/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <condition_variable>
 #include <cstdlib>
@@ -12,11 +13,6 @@
 
 #include "support/logging.hpp"
 
-#ifdef __linux__
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace chimera {
 
 namespace {
@@ -24,54 +20,8 @@ namespace {
 /** Backstop against absurd CHIMERA_THREADS values / requests. */
 constexpr int kMaxThreads = 256;
 
-#ifdef __linux__
 /**
- * Whether CHIMERA_AFFINITY requests pinning. Read exactly once, under
- * the magic-static lock of the first caller: getenv is not safe against
- * concurrent setenv (clang-tidy concurrency-mt-unsafe), and every pool
- * worker consults this on startup — a per-worker getenv would race with
- * any test that mutates the environment while a pool spins up.
- */
-bool
-affinityRequested()
-{
-    static const bool requested = [] {
-        // NOLINTNEXTLINE(concurrency-mt-unsafe): single read at first
-        // use; the process does not setenv concurrently with pool start.
-        const char *env = std::getenv("CHIMERA_AFFINITY");
-        return env != nullptr && *env != '\0' &&
-               !(env[0] == '0' && env[1] == '\0');
-    }();
-    return requested;
-}
-#endif
-
-/** CHIMERA_AFFINITY=1: pin pool worker @p worker compactly (Linux). */
-void
-maybePinWorker(int worker)
-{
-#ifdef __linux__
-    if (!affinityRequested()) {
-        return;
-    }
-    cpu_set_t set;
-    CPU_ZERO(&set);
-    CPU_SET(static_cast<unsigned>(worker % hardwareThreadCount()), &set);
-    if (pthread_setaffinity_np(pthread_self(), sizeof set, &set) != 0) {
-        static std::once_flag warned;
-        std::call_once(warned, [] {
-            CHIMERA_WARN(
-                "CHIMERA_AFFINITY is set but pinning failed; workers"
-                " run unpinned");
-        });
-    }
-#else
-    (void)worker;
-#endif
-}
-
-/**
- * Set while this thread is executing a parallelFor chunk; nested
+ * Set while this thread is running parallelFor indices; nested
  * parallelFor calls then run inline so a loop body that itself calls a
  * parallelized routine cannot deadlock waiting on its own pool.
  */
@@ -152,24 +102,32 @@ struct ThreadPool::Impl
         }
     }
 
-    /** Contiguous chunk of the current job owned by @p worker. */
-    void
-    runChunk(int worker)
+    /** A worker's lowest failing index of the current job. */
+    struct Failure
     {
-        const std::int64_t total = end_ - begin_;
-        const std::int64_t per = total / size_;
-        const std::int64_t rem = total % size_;
-        const std::int64_t start =
-            begin_ + worker * per + std::min<std::int64_t>(worker, rem);
-        const std::int64_t stop = start + per + (worker < rem ? 1 : 0);
+        std::int64_t index = 0;
+        std::exception_ptr error;
+    };
+
+    /**
+     * Runs indices of the current job, claimed from the shared cursor,
+     * until none is left. A worker claims in ascending order, so its
+     * first failure is its lowest failing index.
+     */
+    void
+    runClaims(int worker)
+    {
         tlsInsideChunk = true;
-        try {
-            for (std::int64_t i = start; i < stop; ++i) {
+        Failure &failure = failures_[static_cast<std::size_t>(worker)];
+        for (std::int64_t i = next_.fetch_add(1, std::memory_order_relaxed);
+             i < end_; i = next_.fetch_add(1, std::memory_order_relaxed)) {
+            try {
                 (*fn_)(i, worker);
+            } catch (...) {
+                if (!failure.error) {
+                    failure = {i, std::current_exception()};
+                }
             }
-        } catch (...) {
-            errors_[static_cast<std::size_t>(worker)] =
-                std::current_exception();
         }
         tlsInsideChunk = false;
     }
@@ -177,7 +135,6 @@ struct ThreadPool::Impl
     void
     workerLoop(int worker)
     {
-        maybePinWorker(worker);
         std::uint64_t seen = 0;
         for (;;) {
             {
@@ -189,7 +146,7 @@ struct ThreadPool::Impl
                 }
                 seen = generation_;
             }
-            runChunk(worker);
+            runClaims(worker);
             {
                 std::lock_guard<std::mutex> lock(m_);
                 if (--pending_ == 0) {
@@ -214,25 +171,30 @@ struct ThreadPool::Impl
         }
         // One job at a time; concurrent external submissions queue here.
         std::lock_guard<std::mutex> job(jobMutex_);
-        errors_.assign(static_cast<std::size_t>(size_), nullptr);
+        failures_.assign(static_cast<std::size_t>(size_), Failure{});
         {
             std::lock_guard<std::mutex> lock(m_);
             fn_ = &fn;
-            begin_ = begin;
+            next_.store(begin, std::memory_order_relaxed);
             end_ = end;
             pending_ = size_ - 1;
             ++generation_;
         }
         wake_.notify_all();
-        runChunk(0);
+        runClaims(0);
         {
             std::unique_lock<std::mutex> lock(m_);
             done_.wait(lock, [&] { return pending_ == 0; });
         }
-        for (std::exception_ptr &err : errors_) {
-            if (err) {
-                std::rethrow_exception(err);
+        const Failure *first = nullptr;
+        for (const Failure &failure : failures_) {
+            if (failure.error &&
+                (first == nullptr || failure.index < first->index)) {
+                first = &failure;
             }
+        }
+        if (first != nullptr) {
+            std::rethrow_exception(first->error);
         }
     }
 
@@ -251,9 +213,12 @@ struct ThreadPool::Impl
     // Current job; written under m_ before the generation bump, read by
     // workers only after observing the new generation under m_.
     const std::function<void(std::int64_t, int)> *fn_ = nullptr;
-    std::int64_t begin_ = 0;
     std::int64_t end_ = 0;
-    std::vector<std::exception_ptr> errors_;
+    std::vector<Failure> failures_; ///< by worker
+
+    /// Next unclaimed index; on its own cache line, since every claim
+    /// writes it.
+    alignas(64) std::atomic<std::int64_t> next_{0};
 };
 
 ThreadPool::ThreadPool(int threads)
@@ -288,12 +253,6 @@ ThreadPool::withSize(int threads)
         slot = std::make_unique<ThreadPool>(n);
     }
     return *slot;
-}
-
-ThreadPool &
-ThreadPool::global()
-{
-    return withSize(0);
 }
 
 ThreadPool *

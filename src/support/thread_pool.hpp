@@ -2,28 +2,26 @@
 
 /**
  * @file
- * Persistent worker-thread pool with a statically chunked parallelFor.
+ * Persistent worker-thread pool whose parallelFor deals out indices
+ * from one shared cursor.
  *
  * The executors and the inter-block planner only parallelize loops whose
  * iterations are fully independent (disjoint output regions, candidate
- * permutations), so the pool stays deliberately simple: a parallelFor
- * splits [begin, end) into one contiguous chunk per worker, the calling
- * thread executes chunk 0, and the first exception thrown by any worker
- * (lowest worker index wins, deterministically) is rethrown to the
- * caller once every chunk has finished.
+ * permutations), so the pool stays deliberately simple: every worker,
+ * the calling thread included (as worker 0), claims the next unclaimed
+ * index of [begin, end) until none is left. A worker slowed by a
+ * contended CPU therefore runs fewer indices instead of holding up the
+ * whole call. Every index runs, even after one throws; once all have
+ * finished, the exception of the lowest failing index is rethrown to
+ * the caller, whichever worker ran it.
  *
  * Thread-count policy, in decreasing precedence:
  *  1. an explicit count handed to the constructor / withSize(),
  *  2. the CHIMERA_THREADS environment variable,
  *  3. std::thread::hardware_concurrency().
  * A resolved count of 1 degenerates to plain serial execution on the
- * calling thread (no worker threads are spawned, exceptions propagate
- * directly).
- *
- * Setting CHIMERA_AFFINITY=1 (Linux only) pins each spawned worker
- * thread w to hardware thread w % hardware_concurrency at startup —
- * compact placement so a worker's private L1/L2 working set is not
- * migrated mid-chain. The calling thread (worker 0) is never pinned.
+ * calling thread (no worker threads are spawned; the first exception,
+ * which is then also the lowest failing index, propagates directly).
  */
 
 #include <cstdint>
@@ -59,18 +57,15 @@ class ThreadPool
     int size() const;
 
     /**
-     * Calls fn(i, worker) exactly once for every i in [begin, end),
-     * splitting the range into size() contiguous chunks (worker w gets
-     * chunk w; the calling thread runs chunk 0 as worker 0). Blocks
-     * until every chunk finished, then rethrows the first captured
-     * exception (by worker index). Nested calls from inside a running
-     * chunk execute serially on the calling worker.
+     * Calls fn(i, worker) exactly once for every i in [begin, end):
+     * each worker (the calling thread is worker 0) claims the next
+     * unclaimed index, in ascending order, until the range is
+     * exhausted. Blocks until every index finished, then rethrows the
+     * exception of the lowest index that threw. Nested calls from
+     * inside a running index execute serially on the calling worker.
      */
     void parallelFor(std::int64_t begin, std::int64_t end,
                      const std::function<void(std::int64_t, int)> &fn);
-
-    /** Process-wide pool sized by defaultThreadCount() at first use. */
-    static ThreadPool &global();
 
     /**
      * Process-wide pool of the resolved size (one persistent pool per
@@ -96,7 +91,7 @@ ThreadPool *poolForThreads(int threads);
 void parallelFor(ThreadPool *pool, std::int64_t begin, std::int64_t end,
                  const std::function<void(std::int64_t, int)> &fn);
 
-/** A worker's contiguous sub-range of a statically split index space. */
+/** One part of a contiguous split of an index space. */
 struct ChunkRange
 {
     std::int64_t begin = 0;
@@ -104,11 +99,10 @@ struct ChunkRange
 };
 
 /**
- * The [begin, end) sub-range of @p total items that @p worker owns under
- * the pool's static contiguous split across @p workers — the exact same
- * math parallelFor uses, exported so planners and dispatchers can
- * reason about the static worker -> chunk assignment. The first
- * (total % workers) workers own one extra item.
+ * The [begin, end) sub-range of @p total items that part @p worker of a
+ * contiguous split into @p workers parts covers. The first
+ * (total % workers) parts hold one extra item. Used to cut a row range
+ * into one dispatch index per worker.
  */
 ChunkRange staticChunkRange(std::int64_t total, int workers, int worker);
 

@@ -35,7 +35,7 @@ publishedRules()
         {"CH07", "CH", "independent axis not derivable from any operator",
          true},
         {"PL01", "PL", "plan document syntax error", true},
-        {"PL02", "PL", "order/tiles/grain name an unknown axis", true},
+        {"PL02", "PL", "order/tiles name an unknown axis", true},
         {"PL03", "PL", "order is not a permutation of the chain's axes",
          true},
         {"PL04", "PL", "tile size outside [1, extent]", true},
@@ -51,7 +51,7 @@ publishedRules()
          true},
         {"PL10", "PL", "document fingerprint mismatch", true},
         {"PL11", "PL", "multi-level schedule nesting defect", true},
-        {"PL13", "PL", "thread-aware chunking defect", true},
+        {"PL13", "PL", "thread-aware planning defect", true},
         {"KP01", "KP", "micro-kernel register usage exceeds the budget",
          true},
         {"KP02", "KP", "micro-kernel structure: MII < 2 or MII !| MI",

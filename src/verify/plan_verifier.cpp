@@ -174,50 +174,14 @@ checkLegality(const Chain &chain, const std::vector<AxisId> &perm,
     return dm;
 }
 
-/**
- * PL13 structural checks of a chunking declaration: grain arity,
- * positivity, and Parallel-only grains (> 1 on a reduction/sequential
- * axis would regroup its serial walk). @p kinds must have chain arity.
- */
+/** PL13: a plan's planned worker count must be >= 1. */
 void
-checkChunking(const Chain &chain, int plannedThreads,
-              const std::vector<std::int64_t> &grain,
-              const std::vector<analysis::AxisConcurrency> &kinds,
-              Report &report)
+checkPlannedThreads(int plannedThreads, Report &report)
 {
     if (plannedThreads < 1) {
         report.error("PL13", "threads",
                      "planned thread count " +
                          std::to_string(plannedThreads) + " must be >= 1");
-    }
-    if (grain.empty()) {
-        return;
-    }
-    if (static_cast<int>(grain.size()) != chain.numAxes()) {
-        report.error("PL13", "grain",
-                     "grain vector has " + std::to_string(grain.size()) +
-                         " entries but the chain has " +
-                         std::to_string(chain.numAxes()) + " axes");
-        return;
-    }
-    for (AxisId a = 0; a < chain.numAxes(); ++a) {
-        const std::int64_t g = grain[static_cast<std::size_t>(a)];
-        if (g < 1) {
-            report.error("PL13", "grain." + axisName(chain, a),
-                         "grain " + std::to_string(g) + " must be >= 1");
-        } else if (g > 1 &&
-                   kinds[static_cast<std::size_t>(a)] !=
-                       analysis::AxisConcurrency::Parallel) {
-            report.error(
-                "PL13", "grain." + axisName(chain, a),
-                "grain " + std::to_string(g) + " on axis " +
-                    axisName(chain, a) +
-                    " which is " +
-                    analysis::concurrencyName(
-                        kinds[static_cast<std::size_t>(a)]) +
-                    ", not parallel — only proven-parallel axes may be"
-                    " chunked");
-        }
     }
 }
 
@@ -408,10 +372,8 @@ verifyExecutionPlan(const Chain &chain, const plan::ExecutionPlan &plan,
         const model::DataMovement dm =
             checkLegality(chain, plan.perm, plan.tiles, options, report);
         checkPredictions(dm, plan, report);
-        // PL13: chunking structure against the classes the executors
-        // will actually obey, then the per-worker LLC share.
-        checkChunking(chain, plan.plannedThreads, plan.parallelGrain,
-                      plan::effectiveConcurrency(chain, plan), report);
+        // PL13: the planned worker count, then the per-worker LLC share.
+        checkPlannedThreads(plan.plannedThreads, report);
         const int workers = plan.plannedThreads > 1
                                 ? plan.plannedThreads
                                 : options.plannedThreads;
@@ -515,34 +477,10 @@ verifyPlanDocument(const Chain &chain, const plan::ParsedPlanDoc &doc,
         const model::DataMovement dm =
             checkLegality(chain, perm, tiles, options, report);
 
-        // PL13: bind and audit the chunking lines. The parser enforces
-        // positivity; binding and parallel-only are checked here so
-        // chimera-check reports instead of throwing.
-        if (doc.haveGrain && !doc.haveThreads) {
-            report.error("PL13", "grain",
-                         "document has a grain line without a threads"
-                         " line");
-        }
-        std::vector<std::int64_t> grain;
-        if (doc.haveGrain) {
-            grain.assign(static_cast<std::size_t>(chain.numAxes()), 1);
-            for (const auto &[name, g] : doc.grain) {
-                const AxisId axis = findAxis(name);
-                if (axis < 0) {
-                    report.error("PL02", "grain",
-                                 "unknown axis \"" + name + "\"");
-                    continue;
-                }
-                grain[static_cast<std::size_t>(axis)] = g;
-            }
-        }
-        // Grains must target axes the executors treat as parallel: the
-        // table the loader derives from the document's tiles.
+        // PL13: the per-worker LLC share at the document's thread count
+        // (the parser already enforces threads >= 1).
         const int workers =
             doc.haveThreads ? static_cast<int>(doc.threads) : 1;
-        checkChunking(chain, workers, grain,
-                      analysis::analyzeConcurrency(chain, tiles).kinds(),
-                      report);
         checkPerWorkerShare(dm.memUsageBytes, workers, options.topology,
                             report);
     }

@@ -35,10 +35,7 @@
  *  - PL10  document fingerprint does not match the expected cache key
  *  - PL11  multi-level schedule defect: wrong level count or inner
  *          tiles not nested inside the enclosing level's tiles
- *  - PL13  thread-aware chunking defect: plannedThreads < 1, a grain
- *          vector of the wrong arity or with non-positive entries, a
- *          grain > 1 on an axis the dependence analysis did not prove
- *          Parallel, a document grain line without a threads line, or —
+ *  - PL13  thread-aware planning defect: plannedThreads < 1, or —
  *          when a topology is supplied — a per-worker footprint larger
  *          than one worker's share of the tightest shared level
  *          (capacity / workers), i.e. the plan would thrash the LLC
@@ -94,7 +91,7 @@ struct PlanVerifyOptions
     /**
      * Core/cache topology whose shared levels bound each worker's
      * capacity share (PL13). An empty topology skips that check; the
-     * grain-structure checks still run.
+     * planned-thread-count check still runs.
      */
     model::MachineModel topology;
 };
@@ -125,7 +122,7 @@ Report verifyPlan(const ir::Chain &chain,
 
 /**
  * verifyPlan plus the PL08 check of the plan's predictions and the PL13
- * chunking checks against the concurrency table the executors obey.
+ * checks of its planned thread count.
  */
 Report verifyExecutionPlan(const ir::Chain &chain,
                            const plan::ExecutionPlan &plan,
@@ -133,7 +130,7 @@ Report verifyExecutionPlan(const ir::Chain &chain,
 
 /**
  * Checks a parsed plan document against @p chain: name binding (PL02,
- * PL03, PL05), the core schedule checks, the chunking lines (PL13) and
+ * PL03, PL05), the core schedule checks, the threads line (PL13) and
  * the fingerprint when @p expectedFingerprint is non-empty (PL10).
  */
 Report verifyPlanDocument(const ir::Chain &chain,

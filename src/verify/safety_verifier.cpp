@@ -22,7 +22,7 @@ verifyPlanSafety(const ir::Chain &chain, const plan::ExecutionPlan &plan,
                             : std::max(1, options.workers);
     const analysis::SafetyAnalysis sa = analysis::analyzeSafety(
         chain, plan.tiles, plan::effectiveConcurrency(chain, plan), workers,
-        plan.parallelGrain, domain, so);
+        domain, so);
     Report report;
     for (const analysis::SafetyViolation &v : sa.violations) {
         report.error(analysis::safetyRuleName(v.rule), v.location,

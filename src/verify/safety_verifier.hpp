@@ -13,8 +13,7 @@
  *  - SB02  the maximum live window over the block grid exceeds the
  *          per-worker capacity budget (error)
  *  - SB03  index arithmetic in the lowered nests (linearized offsets,
- *          task counts, chunk strides, workspace totals) can overflow
- *          int64 (error)
+ *          task counts, workspace totals) can overflow int64 (error)
  *  - SB04  a parallel-marked axis has no shape-generic disjointness
  *          proof for its output windows (error)
  */

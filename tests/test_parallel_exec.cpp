@@ -312,9 +312,9 @@ threadAwarePlanFor(const ir::Chain &chain, double capacityBytes,
 
 TEST(ParallelExec, ThreadAwareGemmPlanBitwiseIdenticalAcrossThreadCounts)
 {
-    // The fig5 workload family under a thread-aware plan: the chunked
-    // dispatch (grain > 1 groups consecutive blocks) must stay
-    // bitwise-identical at every thread count and race-clean.
+    // The fig5 workload family under a thread-aware plan: the pool's
+    // dispatch of its region tasks must stay bitwise-identical at every
+    // thread count and race-clean.
     for (Epilogue epi : {Epilogue::None, Epilogue::Softmax}) {
         GemmChainConfig cfg;
         cfg.batch = 3;
@@ -397,8 +397,8 @@ TEST(ParallelExec, ThreadAwareConvPlanBitwiseIdenticalAcrossThreadCounts)
 
 TEST(ParallelExec, ChunkedRunMatchesPlanWithoutChunking)
 {
-    // Chunking is purely a dispatch regrouping: stripping the grain
-    // and thread count from the plan must not change a single bit.
+    // The planned thread count only shapes the tiles: stripping it from
+    // the plan must not change a single bit.
     GemmChainConfig cfg;
     cfg.batch = 3;
     cfg.m = 48;
@@ -406,11 +406,10 @@ TEST(ParallelExec, ChunkedRunMatchesPlanWithoutChunking)
     cfg.k = 16;
     cfg.l = 40;
     const ir::Chain chain = ir::makeGemmChain(cfg);
-    const plan::ExecutionPlan chunked =
+    const plan::ExecutionPlan threaded =
         threadAwarePlanFor(chain, 16.0 * 1024, 8);
-    plan::ExecutionPlan flat = chunked;
+    plan::ExecutionPlan flat = threaded;
     flat.plannedThreads = 1;
-    flat.parallelGrain.clear();
     const ComputeEngine engine = ComputeEngine::best();
 
     Tensor a(gemmChainShapeA(cfg));
@@ -421,13 +420,13 @@ TEST(ParallelExec, ChunkedRunMatchesPlanWithoutChunking)
     fillUniform(b, rng);
     fillUniform(d, rng);
 
-    Tensor eChunked(gemmChainShapeE(cfg));
+    Tensor eThreaded(gemmChainShapeE(cfg));
     Tensor eFlat(gemmChainShapeE(cfg));
-    runFusedGemmChain(cfg, chunked, engine, a, b, d, eChunked,
+    runFusedGemmChain(cfg, threaded, engine, a, b, d, eThreaded,
                       ExecOptions{2, nullptr});
     runFusedGemmChain(cfg, flat, engine, a, b, d, eFlat,
                       ExecOptions{2, nullptr});
-    EXPECT_TRUE(bitwiseEqual(eChunked, eFlat));
+    EXPECT_TRUE(bitwiseEqual(eThreaded, eFlat));
 }
 
 TEST(ChunkProfile, FusedRunRecordsBusyTime)

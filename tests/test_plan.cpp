@@ -356,8 +356,7 @@ TEST(ThreadAwarePlanner, SingleThreadReproducesSerialPlanExactly)
     EXPECT_EQ(same.perm, base.perm);
     EXPECT_EQ(same.tiles, base.tiles);
     EXPECT_EQ(same.plannedThreads, 1);
-    EXPECT_TRUE(same.parallelGrain.empty());
-    // And the serial document stays byte-identical: no chunking lines.
+    // And the serial document stays byte-identical: no threads line.
     EXPECT_EQ(serializePlan(chain, same), serializePlan(chain, base));
 }
 
@@ -382,8 +381,6 @@ TEST(ThreadAwarePlanner, SharedCachePressureShrinksTiles)
     const ExecutionPlan plan8 = planChain(chain, par);
     EXPECT_LE(static_cast<double>(plan8.memUsageBytes), share);
     EXPECT_EQ(plan8.plannedThreads, 12);
-    ASSERT_EQ(plan8.parallelGrain.size(),
-              static_cast<std::size_t>(chain.numAxes()));
     bool strictlySmaller = false;
     for (int a = 0; a < chain.numAxes(); ++a) {
         const auto idx = static_cast<std::size_t>(a);
@@ -395,8 +392,7 @@ TEST(ThreadAwarePlanner, SharedCachePressureShrinksTiles)
 
 TEST(ThreadAwarePlanner, ChunkingCoversEveryWorker)
 {
-    // Enough parallel blocks must exist for the planned worker count,
-    // and the grain must only coarsen axes that are proven Parallel.
+    // Enough parallel tasks must exist for the planned worker count.
     GemmChainConfig cfg;
     cfg.batch = 4;
     cfg.m = 96;
@@ -410,27 +406,17 @@ TEST(ThreadAwarePlanner, ChunkingCoversEveryWorker)
     options.execThreads = 8;
     options.topology = hw::multicoreCpuTopology();
     const ExecutionPlan plan = planChain(chain, options);
-    ASSERT_EQ(plan.parallelGrain.size(),
-              static_cast<std::size_t>(chain.numAxes()));
 
-    std::int64_t chunks = 1;
+    std::int64_t tasks = 1;
     for (int a = 0; a < chain.numAxes(); ++a) {
         const auto idx = static_cast<std::size_t>(a);
-        ASSERT_GE(plan.parallelGrain[idx], 1);
-        if (plan.parallelGrain[idx] > 1) {
-            EXPECT_EQ(plan.concurrency[idx],
-                      analysis::AxisConcurrency::Parallel)
-                << "axis " << a;
-        }
         if (plan.concurrency[idx] ==
                 analysis::AxisConcurrency::Parallel &&
             chain.axes()[idx].extent > 1) {
-            const std::int64_t blocks =
-                ceilDiv(chain.axes()[idx].extent, plan.tiles[idx]);
-            chunks *= ceilDiv(blocks, plan.parallelGrain[idx]);
+            tasks *= ceilDiv(chain.axes()[idx].extent, plan.tiles[idx]);
         }
     }
-    EXPECT_GE(chunks, 8);
+    EXPECT_GE(tasks, 8);
 }
 
 } // namespace

@@ -162,7 +162,6 @@ expectSameDerivedFacts(const ExecutionPlan &got, const ExecutionPlan &want,
 {
     EXPECT_EQ(got.concurrency, want.concurrency) << what;
     EXPECT_EQ(got.plannedThreads, want.plannedThreads) << what;
-    EXPECT_EQ(got.parallelGrain, want.parallelGrain) << what;
     EXPECT_DOUBLE_EQ(got.predictedVolumeBytes, want.predictedVolumeBytes)
         << what;
     EXPECT_EQ(got.memUsageBytes, want.memUsageBytes) << what;
@@ -329,8 +328,8 @@ TEST(PlanCache, KeyCoversExecThreadsAndTopology)
     const PlannerOptions options = optionsUnderTest();
 
     // The targeted worker count changes the plan (per-worker budgets,
-    // chunking), so it must change the key — unlike the search-loop
-    // thread count above.
+    // task-grid refinement), so it must change the key — unlike the
+    // search-loop thread count above.
     PlannerOptions eight = options;
     eight.execThreads = 8;
     EXPECT_NE(planFingerprint(chain, options),
@@ -351,16 +350,6 @@ TEST(PlanCache, KeyCoversExecThreadsAndTopology)
     }
     EXPECT_NE(planFingerprint(chain, topo),
               planFingerprint(chain, smallerLlc));
-
-    // Chunk targeting only matters once several workers are planned.
-    PlannerOptions grainier = eight;
-    grainier.chunksPerWorker = 2;
-    EXPECT_NE(planFingerprint(chain, eight),
-              planFingerprint(chain, grainier));
-    PlannerOptions serialGrain = options;
-    serialGrain.chunksPerWorker = 2;
-    EXPECT_EQ(planFingerprint(chain, options),
-              planFingerprint(chain, serialGrain));
 }
 
 TEST(PlanCache, ThreadAwarePlansCacheSeparately)
@@ -379,11 +368,10 @@ TEST(PlanCache, ThreadAwarePlansCacheSeparately)
     EXPECT_EQ(cache.stats().misses, 2);
     EXPECT_EQ(threaded.plannedThreads, 8);
 
-    // Warm hit restores the chunking decision too.
+    // Warm hit restores the planned thread count too.
     const ExecutionPlan warm = planChain(chain, options);
     EXPECT_EQ(warm.candidatesExamined, 0);
     EXPECT_EQ(warm.plannedThreads, threaded.plannedThreads);
-    EXPECT_EQ(warm.parallelGrain, threaded.parallelGrain);
     EXPECT_EQ(warm.tiles, threaded.tiles);
     EXPECT_EQ(serial.plannedThreads, 1);
 }

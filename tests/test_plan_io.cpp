@@ -173,9 +173,7 @@ TEST(PlanIo, RejectsMalformedNumericsAsChimeraError)
 
     const std::string text = serializePlan(chain, planUnderTest(chain));
     EXPECT_THROW(deserializePlan(chain, text + "threads: abc\n"), Error);
-    EXPECT_THROW(
-        deserializePlan(chain, text + "threads: 4\ngrain: m=64abc\n"),
-        Error);
+    EXPECT_THROW(deserializePlan(chain, text + "threads: 4abc\n"), Error);
 }
 
 TEST(PlanIo, MalformedNumericErrorsNameTheLine)
@@ -246,7 +244,7 @@ TEST(PlanIo, RejectsUnknownKeys)
           "search: mode=symmetry enumerated=120 truncated=0 filtered=10 "
           "symmetry=100 dominance=0 beam=0 solved=10 gap=0 "
           "digest=0123456789abcdef",
-          "volume-bytes: 6291456", "mem-bytes: 393216"}) {
+          "volume-bytes: 6291456", "mem-bytes: 393216", "grain: m=2"}) {
         try {
             (void)deserializePlan(chain, text + line + "\n");
             ADD_FAILURE() << "accepted: " << line;
@@ -295,11 +293,10 @@ TEST(PlanIo, MissingConcurrencyFallsBackToFreshAnalysis)
 TEST(PlanIo, SerialPlanDocumentOmitsChunkingLines)
 {
     // Backward compatibility: a serial plan's document must stay
-    // byte-identical to the pre-chunking format.
+    // byte-identical to the pre-thread-aware format.
     const ir::Chain chain = chainUnderTest();
     const std::string text = serializePlan(chain, planUnderTest(chain));
     EXPECT_EQ(text.find("threads:"), std::string::npos);
-    EXPECT_EQ(text.find("grain:"), std::string::npos);
 }
 
 TEST(PlanIo, RoundTripPreservesChunking)
@@ -307,18 +304,12 @@ TEST(PlanIo, RoundTripPreservesChunking)
     const ir::Chain chain = chainUnderTest();
     ExecutionPlan plan = planUnderTest(chain);
     plan.plannedThreads = 8;
-    plan.parallelGrain.assign(
-        static_cast<std::size_t>(chain.numAxes()), 1);
-    plan.parallelGrain[static_cast<std::size_t>(
-        ir::axisIdByName(chain, "m"))] = 2;
 
     const std::string text = serializePlan(chain, plan);
     EXPECT_NE(text.find("threads: 8"), std::string::npos);
-    EXPECT_NE(text.find("grain: m=2"), std::string::npos);
 
     const ExecutionPlan restored = deserializePlan(chain, text);
     EXPECT_EQ(restored.plannedThreads, 8);
-    EXPECT_EQ(restored.parallelGrain, plan.parallelGrain);
     EXPECT_EQ(restored.perm, plan.perm);
     EXPECT_EQ(restored.tiles, plan.tiles);
 }
@@ -329,22 +320,9 @@ TEST(PlanIo, RejectsMalformedChunking)
     const ExecutionPlan plan = planUnderTest(chain);
     const std::string base = serializePlan(chain, plan);
 
-    // Grain without a thread count is meaningless.
-    EXPECT_THROW(deserializePlan(chain, base + "grain: m=2\n"), Error);
-    // Non-positive grain.
-    EXPECT_THROW(
-        deserializePlan(chain, base + "threads: 4\ngrain: m=0\n"),
-        Error);
-    // Unknown axis.
-    EXPECT_THROW(
-        deserializePlan(chain, base + "threads: 4\ngrain: zz=2\n"),
-        Error);
-    // Duplicate axis.
-    EXPECT_THROW(
-        deserializePlan(chain, base + "threads: 4\ngrain: m=2 m=3\n"),
-        Error);
     // Non-positive thread count.
     EXPECT_THROW(deserializePlan(chain, base + "threads: 0\n"), Error);
+    EXPECT_THROW(deserializePlan(chain, base + "threads: -4\n"), Error);
 }
 
 } // namespace

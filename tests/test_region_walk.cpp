@@ -2,14 +2,12 @@
  * @file
  * Tests for the region walk the fused executors and cache traces share:
  * region loops derived from the IR, the parallel/serial split and its
- * hoisting rule, exactly-once visits, mixed-radix task ids, and grain
- * as a pure regrouping of the dispatch.
+ * hoisting rule, exactly-once visits, and mixed-radix task ids, one
+ * task per dispatch index.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -25,23 +23,26 @@
 namespace chimera::exec {
 namespace {
 
-/** One region visit: its chunk, task and (start, size) per region loop. */
+/**
+ * One region visit: the dispatch index it ran under, its task and
+ * (start, size) per region loop.
+ */
 struct Visit
 {
-    std::int64_t chunk = 0;
+    std::int64_t index = 0;
     std::int64_t task = 0;
     std::vector<std::pair<std::int64_t, std::int64_t>> blocks;
 };
 
-/** Every region of every chunk, in serial walk order. */
+/** Every region of every task, in serial walk order. */
 std::vector<Visit>
 walkAll(const RegionWalk &walk)
 {
     std::vector<Visit> visits;
     Region region = walk.makeRegion();
-    for (std::int64_t chunk = 0; chunk < walk.chunkCount(); ++chunk) {
-        walk.forEachRegion(chunk, region, [&](const Region &r) {
-            Visit v{chunk, r.task(), {}};
+    for (std::int64_t index = 0; index < walk.taskCount(); ++index) {
+        walk.forEachRegion(index, region, [&](const Region &r) {
+            Visit v{index, r.task(), {}};
             for (const RegionLoop &loop : walk.parallelLoops()) {
                 v.blocks.emplace_back(r.start(loop.axis), r.size(loop.axis));
             }
@@ -178,8 +179,9 @@ cases()
     std::vector<Case> out;
     const ir::Chain gemm = gemmChain(3, 48);
     out.push_back({"gemm", gemm, planned(gemm, 16.0 * 1024)});
-    const ir::Chain grained = gemmChain(8, 512);
-    out.push_back({"gemm-grain", grained, planned(grained, 16.0 * 1024, 4)});
+    const ir::Chain threaded = gemmChain(8, 512);
+    out.push_back(
+        {"gemm-threaded", threaded, planned(threaded, 16.0 * 1024, 4)});
     const ir::Chain hand = gemmChain(1, 48);
     out.push_back({"gemm-hand", hand, gemmHandPlan(hand)});
     const ir::Chain three = chain3();
@@ -264,52 +266,8 @@ TEST(RegionWalk, TaskIdsAreMixedRadixOverParallelBlocks)
                 task = task * par[i].blocks() + v.blocks[i].first / par[i].tile;
             }
             EXPECT_EQ(v.task, task) << c.name;
-        }
-    }
-}
-
-TEST(RegionWalk, GrainChangesOnlyTheGrouping)
-{
-    const ir::Chain chain = gemmChain(8, 512);
-    const plan::ExecutionPlan grained = planned(chain, 16.0 * 1024, 4);
-    ASSERT_EQ(grained.plannedThreads, 4);
-    ASSERT_TRUE(std::any_of(grained.parallelGrain.begin(),
-                            grained.parallelGrain.end(),
-                            [](std::int64_t g) { return g > 1; }))
-        << "the test needs a planned grain > 1";
-    plan::ExecutionPlan flat = grained;
-    flat.parallelGrain.clear();
-
-    const RegionWalk grainedWalk(chain, grained);
-    const RegionWalk flatWalk(chain, flat);
-    EXPECT_LT(grainedWalk.chunkCount(), flatWalk.chunkCount());
-
-    // Per task: the same regions in the same order, whatever the grain;
-    // each task lies in exactly one chunk, and a chunk's tasks ascend.
-    auto byTask = [](const std::vector<Visit> &visits) {
-        std::map<std::int64_t, std::vector<Visit>> tasks;
-        std::map<std::int64_t, std::int64_t> chunkOf;
-        std::map<std::int64_t, std::int64_t> lastTask;
-        for (const Visit &v : visits) {
-            const auto [it, fresh] = chunkOf.emplace(v.task, v.chunk);
-            EXPECT_EQ(it->second, v.chunk) << "task split across chunks";
-            const auto last = lastTask.find(v.chunk);
-            if (last != lastTask.end()) {
-                EXPECT_LE(last->second, v.task) << "tasks out of order";
-            }
-            lastTask[v.chunk] = v.task;
-            tasks[v.task].push_back(v);
-        }
-        return tasks;
-    };
-    const auto grainedTasks = byTask(walkAll(grainedWalk));
-    const auto flatTasks = byTask(walkAll(flatWalk));
-    ASSERT_EQ(grainedTasks.size(), flatTasks.size());
-    for (const auto &[task, visits] : flatTasks) {
-        const std::vector<Visit> &other = grainedTasks.at(task);
-        ASSERT_EQ(other.size(), visits.size()) << "task " << task;
-        for (std::size_t i = 0; i < visits.size(); ++i) {
-            EXPECT_EQ(other[i].blocks, visits[i].blocks) << "task " << task;
+            // Dispatch index i runs task i, and nothing else.
+            EXPECT_EQ(v.task, v.index) << c.name;
         }
     }
 }

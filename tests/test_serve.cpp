@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cerrno>
 #include <cstring>
 #include <deque>
+#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <set>
@@ -21,7 +23,9 @@
 #include <vector>
 
 #ifdef __unix__
+#include <fcntl.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
 #endif
@@ -446,6 +450,67 @@ TEST(ServeGate, ColdStampedePlansOnce)
         EXPECT_EQ(plans[static_cast<std::size_t>(t)].tiles,
                   plans[0].tiles);
     }
+}
+
+TEST(ServeGate, MissBeforeTheStoreTakesTheFinishedFlightsPlan)
+{
+    // Request A misses the cache before the leader stores, and reaches
+    // the flight table only after the leader's flight has finished: it
+    // must take the stored plan, not plan the key a second time. A FIFO
+    // at the key's cache entry holds A inside its disk lookup (past the
+    // memory miss) for as long as this test keeps the FIFO's writer
+    // open.
+    const ir::GemmChainConfig cfg = smallConfig();
+    const std::filesystem::path root =
+        std::filesystem::temp_directory_path() /
+        ("chimera-late-miss-" + std::to_string(::getpid()));
+    std::filesystem::remove_all(root);
+
+    // The entry's file name, from a gate that plans the key once.
+    std::string entry;
+    {
+        PlannerGateOptions probe;
+        probe.cacheDir = (root / "probe").string();
+        PlannerGate gate(probe);
+        (void)gate.canonicalPlan(cfg);
+        for (const auto &file :
+             std::filesystem::directory_iterator(probe.cacheDir)) {
+            entry = file.path().filename().string();
+        }
+    }
+    ASSERT_FALSE(entry.empty());
+
+    PlannerGateOptions options;
+    options.cacheDir = (root / "gate").string();
+    std::filesystem::create_directories(options.cacheDir);
+    const std::string fifo = options.cacheDir + "/" + entry;
+    ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0) << std::strerror(errno);
+    PlannerGate gate(options);
+
+    plan::ExecutionPlan late;
+    std::thread a([&] { late = gate.canonicalPlan(cfg); });
+    // A non-blocking writer opens only once A has the FIFO open for
+    // reading; A then blocks reading it until the writer closes.
+    int writer = -1;
+    while ((writer = ::open(fifo.c_str(), O_WRONLY | O_NONBLOCK)) < 0 &&
+           errno == ENXIO) {
+        std::this_thread::yield();
+    }
+    EXPECT_GE(writer, 0) << std::strerror(errno);
+    // With the FIFO gone the leader's lookup misses the disk, and the
+    // leader plans, stores and ends its flight while A is still held.
+    EXPECT_EQ(::unlink(fifo.c_str()), 0);
+    const plan::ExecutionPlan led = gate.canonicalPlan(cfg);
+    // A reads an empty entry, counts a miss and goes on to the flight
+    // table.
+    ::close(writer);
+    a.join();
+
+    EXPECT_EQ(gate.stats().flightsLed, 1)
+        << "a miss that raced the store must not plan again";
+    EXPECT_EQ(late.perm, led.perm);
+    EXPECT_EQ(late.tiles, led.tiles);
+    std::filesystem::remove_all(root);
 }
 
 TEST(ServeGate, BatchedPlanPinsCanonicalSchedule)

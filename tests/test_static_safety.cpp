@@ -65,7 +65,7 @@ analyzePlan(const ir::Chain &chain, const plan::ExecutionPlan &plan,
     so.memCapacityBytes = capacityBytes;
     return analysis::analyzeSafety(
         chain, plan.tiles, plan::effectiveConcurrency(chain, plan),
-        std::max(1, plan.plannedThreads), plan.parallelGrain, domain, so);
+        std::max(1, plan.plannedThreads), domain, so);
 }
 
 TEST(SymRange, MultiplicationOverflowSaturatesAndFlags)
@@ -228,7 +228,7 @@ TEST(StaticSafety, Sb03FiresWhenOffsetsOverflowInt64)
     analysis::SafetyOptions so;
     const analysis::SafetyAnalysis sa = analysis::analyzeSafety(
         chain, tiles, analysis::analyzeConcurrency(chain, tiles).kinds(), 1,
-        {}, analysis::ShapeDomain::concrete(chain), so);
+        analysis::ShapeDomain::concrete(chain), so);
     ASSERT_FALSE(sa.certificate.certified);
     EXPECT_TRUE(std::any_of(sa.violations.begin(), sa.violations.end(),
                             [](const analysis::SafetyViolation &v) {
@@ -250,8 +250,8 @@ TEST(StaticSafety, Sb04FiresOnMisdeclaredParallelReduction)
     analysis::SafetyOptions so;
     so.memCapacityBytes = 32.0 * 1024;
     const analysis::SafetyAnalysis sa = analysis::analyzeSafety(
-        chain, plan.tiles, kinds, 1, plan.parallelGrain,
-        analysis::ShapeDomain::concrete(chain), so);
+        chain, plan.tiles, kinds, 1, analysis::ShapeDomain::concrete(chain),
+        so);
     ASSERT_FALSE(sa.certificate.certified);
     EXPECT_TRUE(std::any_of(sa.violations.begin(), sa.violations.end(),
                             [](const analysis::SafetyViolation &v) {

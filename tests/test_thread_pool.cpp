@@ -1,14 +1,18 @@
 /**
  * @file
  * Unit tests for the worker-thread pool: exact range coverage, worker
- * indices, exception propagation, the serial degenerate cases, and the
- * CHIMERA_THREADS / explicit-count resolution policy.
+ * indices, work conservation under a stalled index, exception
+ * propagation (lowest failing index wins), the serial degenerate cases,
+ * and the CHIMERA_THREADS / explicit-count resolution policy.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdlib>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -55,9 +59,9 @@ TEST(ThreadPool, CoversFullRangeExactlyOnce)
 {
     ThreadPool pool(4);
     EXPECT_EQ(pool.size(), 4);
-    // 103 is deliberately not a multiple of 4 to exercise the remainder
-    // distribution. Each index is visited by exactly one worker, so the
-    // per-index slots need no synchronization.
+    // 103 is deliberately not a multiple of 4. Each index is claimed by
+    // exactly one worker, so the per-index slots need no
+    // synchronization.
     const std::int64_t n = 103;
     std::vector<int> visits(static_cast<std::size_t>(n), 0);
     std::vector<int> workerOf(static_cast<std::size_t>(n), -1);
@@ -72,21 +76,31 @@ TEST(ThreadPool, CoversFullRangeExactlyOnce)
     }
 }
 
-TEST(ThreadPool, ChunksAreContiguousPerWorker)
+TEST(ThreadPool, OtherWorkersRunTheRestWhileOneIndexStalls)
 {
-    ThreadPool pool(3);
-    const std::int64_t n = 10;
-    std::vector<int> workerOf(static_cast<std::size_t>(n), -1);
-    pool.parallelFor(0, n, [&](std::int64_t i, int worker) {
-        workerOf[static_cast<std::size_t>(i)] = worker;
+    // Index 0 waits (5 s at most) until the other 63 indices have
+    // finished. Only a pool whose idle workers take every index left
+    // over can get there: had the stalled worker owned a share of the
+    // range up front, part of it would wait behind index 0.
+    ThreadPool pool(4);
+    const std::int64_t n = 64;
+    std::mutex mu;
+    std::condition_variable finishedOne;
+    std::int64_t finished = 0;
+    std::int64_t finishedWhileWaiting = 0;
+    pool.parallelFor(0, n, [&](std::int64_t i, int) {
+        std::unique_lock<std::mutex> lock(mu);
+        if (i == 0) {
+            finishedOne.wait_for(lock, std::chrono::seconds(5),
+                                 [&] { return finished == n - 1; });
+            finishedWhileWaiting = finished;
+            return;
+        }
+        ++finished;
+        finishedOne.notify_all();
     });
-    // Static chunking: worker ids are non-decreasing over the range and
-    // the calling thread owns chunk 0.
-    EXPECT_EQ(workerOf.front(), 0);
-    for (std::int64_t i = 1; i < n; ++i) {
-        EXPECT_GE(workerOf[static_cast<std::size_t>(i)],
-                  workerOf[static_cast<std::size_t>(i - 1)]);
-    }
+    EXPECT_EQ(finishedWhileWaiting, n - 1)
+        << "other indices finished while index 0 waited";
 }
 
 TEST(ThreadPool, EmptyAndNegativeRangesRunNothing)
@@ -101,7 +115,7 @@ TEST(ThreadPool, EmptyAndNegativeRangesRunNothing)
 TEST(ThreadPool, PropagatesWorkerException)
 {
     ThreadPool pool(4);
-    // Thrown from a non-caller chunk: index near the end of the range.
+    // Thrown from the last index, claimed after the first 63.
     EXPECT_THROW(pool.parallelFor(0, 64,
                                   [&](std::int64_t i, int) {
                                       if (i == 63) {
@@ -118,7 +132,7 @@ TEST(ThreadPool, PropagatesWorkerException)
 TEST(ThreadPool, PropagatesCallerChunkException)
 {
     ThreadPool pool(2);
-    // Index 0 always belongs to the calling thread's chunk.
+    // Index 0 is the first claimed, usually by the calling thread.
     EXPECT_THROW(pool.parallelFor(0, 8,
                                   [&](std::int64_t i, int) {
                                       if (i == 0) {
@@ -126,6 +140,33 @@ TEST(ThreadPool, PropagatesCallerChunkException)
                                       }
                                   }),
                  std::runtime_error);
+}
+
+TEST(ThreadPool, RethrowsTheLowestFailingIndex)
+{
+    // Two indices throw different messages; whichever workers claim
+    // them and whichever fails first in time, index 5's is rethrown,
+    // and every index still runs.
+    ThreadPool pool(4);
+    for (int rep = 0; rep < 200; ++rep) {
+        std::atomic<int> calls{0};
+        std::string what;
+        try {
+            pool.parallelFor(0, 64, [&](std::int64_t i, int) {
+                ++calls;
+                if (i == 5) {
+                    throw std::runtime_error("index 5");
+                }
+                if (i == 40) {
+                    throw std::runtime_error("index 40");
+                }
+            });
+        } catch (const std::runtime_error &e) {
+            what = e.what();
+        }
+        ASSERT_EQ(what, "index 5") << "repeat " << rep;
+        ASSERT_EQ(calls.load(), 64) << "repeat " << rep;
+    }
 }
 
 TEST(ThreadPool, PoolOfOneRunsSeriallyOnCallingThread)

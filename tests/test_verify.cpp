@@ -421,27 +421,10 @@ TEST(PlanVerifier, FlagsChunkingDefects)
     const plan::ExecutionPlan good = plan::planChain(chain, po);
     const PlanVerifyOptions vo = planVerifyOptions(po);
 
-    // Grain > 1 on the contracted axis k regroups a serial reduction.
-    plan::ExecutionPlan bad = good;
-    bad.plannedThreads = 4;
-    bad.parallelGrain.assign(
-        static_cast<std::size_t>(chain.numAxes()), 1);
-    bad.parallelGrain[static_cast<std::size_t>(
-        ir::axisIdByName(chain, "k"))] = 2;
-    Report report = verifyExecutionPlan(chain, bad, vo);
-    EXPECT_TRUE(report.hasRule("PL13")) << report.render();
-
     // Non-positive planned thread count.
-    bad = good;
+    plan::ExecutionPlan bad = good;
     bad.plannedThreads = 0;
-    report = verifyExecutionPlan(chain, bad, vo);
-    EXPECT_TRUE(report.hasRule("PL13")) << report.render();
-
-    // Grain arity mismatch.
-    bad = good;
-    bad.plannedThreads = 4;
-    bad.parallelGrain = {2, 2};
-    report = verifyExecutionPlan(chain, bad, vo);
+    const Report report = verifyExecutionPlan(chain, bad, vo);
     EXPECT_TRUE(report.hasRule("PL13")) << report.render();
 }
 
@@ -462,20 +445,6 @@ TEST(PlanVerifier, FlagsFootprintOverPerWorkerShare)
         {"LLC", 64.0 * 1024, 1e11, model::LevelScope::Shared}};
     const Report report = verifyExecutionPlan(
         chain, plan, planVerifyOptions(threaded));
-    EXPECT_TRUE(report.hasRule("PL13")) << report.render();
-}
-
-TEST(PlanVerifier, FlagsGrainWithoutThreadsDocument)
-{
-    const ir::Chain chain = gemmChainUnderTest();
-    plan::PlannerOptions po;
-    po.memCapacityBytes = 32.0 * 1024;
-    const plan::ExecutionPlan plan = plan::planChain(chain, po);
-    const std::string text =
-        plan::serializePlan(chain, plan) + "grain: m=2\n";
-    const plan::ParsedPlanDoc doc = plan::parsePlanDocument(text);
-    const Report report =
-        verifyPlanDocument(chain, doc, "", planVerifyOptions(po));
     EXPECT_TRUE(report.hasRule("PL13")) << report.render();
 }
 
