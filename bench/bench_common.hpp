@@ -22,28 +22,35 @@
 #include "ir/workloads.hpp"
 #include "plan/plan_cache.hpp"
 #include "plan/planner.hpp"
+#include "support/error.hpp"
 #include "support/rng.hpp"
+#include "support/str.hpp"
 #include "support/table.hpp"
 #include "support/timer.hpp"
 
 namespace chimera::bench {
-
-/** Planner memory budget: most of the Xeon-class per-core L2. */
-inline constexpr double kCpuCapacityBytes = 768.0 * 1024;
 
 /** Timed repetitions per measurement (best-of). */
 inline constexpr int kRepeats = 3;
 
 /**
  * Parses `--threads N` from the command line. Returns 0 (defer to
- * CHIMERA_THREADS / the hardware count) when the flag is absent.
+ * CHIMERA_THREADS / the hardware count) when the flag is absent; a
+ * missing or malformed N is a usage error (exit 2).
  */
 inline int
 threadsFromArgs(int argc, char **argv)
 {
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], "--threads") == 0) {
-            return std::atoi(argv[i + 1]);
+    for (int i = 1; i < argc; ++i) {
+        if (std::strcmp(argv[i], "--threads") != 0) {
+            continue;
+        }
+        try {
+            return parseIntStrict(i + 1 < argc ? argv[i + 1] : "",
+                                  "--threads");
+        } catch (const Error &e) {
+            std::fprintf(stderr, "error: %s\n", e.what());
+            std::exit(2);
         }
     }
     return 0;
@@ -72,7 +79,7 @@ hostKernel()
 /** Plans a chain with the executor-aware CPU constraints. */
 inline plan::ExecutionPlan
 planCpu(const ir::Chain &chain,
-        double capacityBytes = kCpuCapacityBytes)
+        double capacityBytes = hw::kPlanningBudgetBytes)
 {
     plan::PlannerOptions options;
     options.memCapacityBytes = capacityBytes;
@@ -88,7 +95,7 @@ planCpu(const ir::Chain &chain,
  */
 inline plan::ExecutionPlan
 planCpuThreaded(const ir::Chain &chain, int execThreads,
-                double capacityBytes = kCpuCapacityBytes)
+                double capacityBytes = hw::kPlanningBudgetBytes)
 {
     plan::PlannerOptions options;
     options.memCapacityBytes = capacityBytes;
@@ -105,7 +112,7 @@ planCpuThreaded(const ir::Chain &chain, int execThreads,
  */
 inline plan::ExecutionPlan
 planCpuCached(const ir::Chain &chain, plan::PlanCache &cache,
-              double capacityBytes = kCpuCapacityBytes)
+              double capacityBytes = hw::kPlanningBudgetBytes)
 {
     plan::PlannerOptions options;
     options.memCapacityBytes = capacityBytes;

@@ -54,7 +54,7 @@ main()
 
         const ir::Chain chain = ir::makeGemmChain3(cfg);
         plan::PlannerOptions options;
-        options.memCapacityBytes = kCpuCapacityBytes;
+        options.memCapacityBytes = hw::kPlanningBudgetBytes;
         options.constraints =
             exec::gemmChain3Constraints(chain, hostKernel());
         const plan::ExecutionPlan plan = plan::planChain(chain, options);

@@ -51,7 +51,7 @@ main(int argc, char **argv)
         cfg.inChannels = variant.ic;
         cfg.height = variant.hw;
         cfg.width = variant.hw;
-        const graph::CnnBackbone cnn(cfg, kCpuCapacityBytes);
+        const graph::CnnBackbone cnn(cfg, hw::kPlanningBudgetBytes);
 
         Tensor input({cfg.batch, cfg.inChannels, cfg.height, cfg.width});
         Rng rng(12);

@@ -105,7 +105,7 @@ main()
 
         // v-F: fused, random-searched schedule, scalar kernel.
         baselines::TunerOptions tunerOptions;
-        tunerOptions.memCapacityBytes = kCpuCapacityBytes;
+        tunerOptions.memCapacityBytes = hw::kPlanningBudgetBytes;
         tunerOptions.trials = kTrials;
         tunerOptions.seed = 2;
         // The tuner samples executor-friendly tiles; with the cost model

@@ -149,7 +149,7 @@ reportAnalysisOverhead()
         (void)analysis::analyzeConcurrency(chain, plan.tiles);
         analysisMs += analysisTimer.milliseconds();
         analysis::SafetyOptions so;
-        so.memCapacityBytes = kCpuCapacityBytes;
+        so.memCapacityBytes = hw::kPlanningBudgetBytes;
         const analysis::SafetyAnalysis sa = analysis::analyzeSafety(
             chain, plan.tiles, plan::effectiveConcurrency(chain, plan),
             std::max(1, plan.plannedThreads),

@@ -36,7 +36,7 @@ main()
     std::vector<double> speedups;
     for (const auto &cfg : configs) {
         const graph::TransformerEncoder encoder(cfg,
-                                                bench::kCpuCapacityBytes);
+                                                hw::kPlanningBudgetBytes);
         Tensor input({cfg.seqLen, cfg.modelDim()});
         Rng rng(17);
         fillUniform(input, rng);

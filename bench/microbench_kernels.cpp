@@ -9,6 +9,7 @@
 
 #include "exec/constraints.hpp"
 #include "exec/gemm_chain_exec.hpp"
+#include "hw/machines.hpp"
 #include "ir/workloads.hpp"
 #include "kernels/block_matmul.hpp"
 #include "kernels/mma_tile.hpp"
@@ -118,7 +119,7 @@ BM_PlanGemmChain(benchmark::State &state)
     const ir::Chain chain =
         ir::makeGemmChain(ir::tableIvWorkloads()[1].config);
     plan::PlannerOptions options;
-    options.memCapacityBytes = 768.0 * 1024;
+    options.memCapacityBytes = hw::kPlanningBudgetBytes;
     options.constraints = exec::cpuChainConstraints(
         chain, kernels::MicroKernelRegistry::instance().select(
                    detectSimdTier()));

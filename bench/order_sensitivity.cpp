@@ -45,7 +45,7 @@ main()
     std::vector<double> times;
 
     plan::PlannerOptions options;
-    options.memCapacityBytes = kCpuCapacityBytes;
+    options.memCapacityBytes = hw::kPlanningBudgetBytes;
     options.constraints = exec::cpuChainConstraints(chain, hostKernel());
 
     const auto reorderable = chain.reorderableAxes();

@@ -50,7 +50,7 @@ main()
         const double tChimera = timeFusedGemmChain(cfg, plan, engine, data);
 
         baselines::TunerOptions tunerOptions;
-        tunerOptions.memCapacityBytes = kCpuCapacityBytes;
+        tunerOptions.memCapacityBytes = hw::kPlanningBudgetBytes;
         tunerOptions.trials = 30;
         tunerOptions.seed = 5;
         tunerOptions.constraints =

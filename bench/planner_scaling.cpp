@@ -58,7 +58,7 @@ planUnderMode(const ir::Chain &chain,
     result.planSeconds = std::numeric_limits<double>::infinity();
     for (int r = 0; r < kRepeats; ++r) {
         plan::PlannerOptions po;
-        po.memCapacityBytes = kCpuCapacityBytes;
+        po.memCapacityBytes = hw::kPlanningBudgetBytes;
         po.constraints = constraints;
         po.threads = threads;
         po.prune = mode;
@@ -82,7 +82,7 @@ benchChain(const ir::Chain &chain,
     result.axes = chain.numAxes();
 
     plan::PlannerOptions po;
-    po.memCapacityBytes = kCpuCapacityBytes;
+    po.memCapacityBytes = hw::kPlanningBudgetBytes;
     po.constraints = constraints;
     po.threads = threads;
     po.prune = analysis::PruneMode::None;

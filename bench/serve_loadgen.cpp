@@ -55,6 +55,7 @@
 #include "exec/gemm_chain_exec.hpp"
 #include "serve/protocol.hpp"
 #include "support/error.hpp"
+#include "support/str.hpp"
 
 namespace {
 
@@ -394,14 +395,24 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        // Strict numbers: a malformed value is a usage error (exit 2).
+        const auto number = [&](auto parse) {
+            const char *text = value();
+            try {
+                return parse(text, arg);
+            } catch (const chimera::Error &e) {
+                std::fprintf(stderr, "error: %s\n", e.what());
+                std::exit(2);
+            }
+        };
         if (arg == "--socket") {
             options.socketPath = value();
         } else if (arg == "--rate") {
-            options.rate = std::atof(value());
+            options.rate = number(chimera::parseDoubleStrict);
         } else if (arg == "--requests") {
-            options.requests = std::atoi(value());
+            options.requests = number(chimera::parseIntStrict);
         } else if (arg == "--classes") {
-            options.classes = std::atoi(value());
+            options.classes = number(chimera::parseIntStrict);
         } else if (arg == "--out") {
             options.outPath = value();
         } else if (arg == "--quick") {

@@ -12,6 +12,7 @@
 
 #include "exec/constraints.hpp"
 #include "exec/gemm_chain_exec.hpp"
+#include "hw/machines.hpp"
 #include "ir/workloads.hpp"
 #include "plan/planner.hpp"
 #include "support/rng.hpp"
@@ -34,7 +35,7 @@ main()
 
     const ir::Chain chain = ir::makeGemmChain(config);
     plan::PlannerOptions options;
-    options.memCapacityBytes = 768.0 * 1024;
+    options.memCapacityBytes = hw::kPlanningBudgetBytes;
     options.constraints = exec::cpuChainConstraints(
         chain,
         kernels::MicroKernelRegistry::instance().select(detectSimdTier()));

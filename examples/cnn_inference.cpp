@@ -10,6 +10,7 @@
 #include <cstdio>
 
 #include "graph/cnn.hpp"
+#include "hw/machines.hpp"
 #include "plan/planner.hpp"
 #include "support/rng.hpp"
 #include "support/timer.hpp"
@@ -20,7 +21,7 @@ main()
     using namespace chimera;
 
     const graph::CnnConfig config = graph::squeezeNetLike();
-    const graph::CnnBackbone cnn(config, 768.0 * 1024);
+    const graph::CnnBackbone cnn(config, hw::kPlanningBudgetBytes);
 
     std::printf("%s: input %ldx%ldx%ld, %zu conv-chain stages\n",
                 config.name.c_str(), static_cast<long>(config.inChannels),

@@ -12,6 +12,7 @@
 
 #include "exec/constraints.hpp"
 #include "exec/conv_chain_exec.hpp"
+#include "hw/machines.hpp"
 #include "ir/workloads.hpp"
 #include "model/data_movement.hpp"
 #include "plan/planner.hpp"
@@ -42,7 +43,7 @@ main()
     std::printf("  (* pinned kernel axes)\n");
 
     plan::PlannerOptions options;
-    options.memCapacityBytes = 768.0 * 1024;
+    options.memCapacityBytes = hw::kPlanningBudgetBytes;
     options.constraints = exec::cpuChainConstraints(
         chain,
         kernels::MicroKernelRegistry::instance().select(detectSimdTier()));

@@ -12,6 +12,7 @@
 
 #include "exec/constraints.hpp"
 #include "exec/gemm_chain_exec.hpp"
+#include "hw/machines.hpp"
 #include "ir/builders.hpp"
 #include "plan/planner.hpp"
 #include "support/rng.hpp"
@@ -39,7 +40,7 @@ main()
 
     // 2. Plan: enumerate block orders, solve tiles analytically.
     plan::PlannerOptions options;
-    options.memCapacityBytes = 768.0 * 1024; // fit blocks in L2
+    options.memCapacityBytes = hw::kPlanningBudgetBytes; // fit blocks in L2
     options.constraints = exec::cpuChainConstraints(
         chain,
         kernels::MicroKernelRegistry::instance().select(detectSimdTier()));

@@ -17,6 +17,13 @@
 
 namespace chimera::hw {
 
+/**
+ * Single-level planning budget of the CPU paths, bytes: most of the
+ * Xeon-class 1 MiB per-core L2. Every CLI's default `--capacity`, and
+ * the budget the serve daemon, the examples and the benches plan with.
+ */
+inline constexpr double kPlanningBudgetBytes = 768.0 * 1024;
+
 /** Intel Xeon Gold 6240-like CPU (AVX-512), per-socket aggregates. */
 model::MachineModel cascadeLakeCpu();
 

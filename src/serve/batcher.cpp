@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <cstring>
-#include <map>
 
 #include "exec/gemm_chain_exec.hpp"
 #include "obs/trace.hpp"
@@ -30,41 +29,43 @@ compatibilityKey(const ir::GemmChainConfig &config)
     return std::string(out, static_cast<std::size_t>(n));
 }
 
+std::vector<ServeJob>
+takeGroup(std::deque<ServeJob> &jobs, std::int64_t maxBatch)
+{
+    CHIMERA_ASSERT(!jobs.empty(), "takeGroup on an empty queue");
+    const auto keyOf = [](ServeJob &job) -> const std::string & {
+        if (job.classKey.empty()) {
+            job.classKey = compatibilityKey(job.request.config);
+        }
+        return job.classKey;
+    };
+    std::vector<ServeJob> group;
+    group.push_back(std::move(jobs.front()));
+    jobs.pop_front();
+    const std::string key = keyOf(group.front());
+    std::int64_t slices = group.front().request.config.batch;
+    for (auto it = jobs.begin(); it != jobs.end() && slices < maxBatch;) {
+        if (keyOf(*it) != key) {
+            ++it;
+            continue;
+        }
+        const std::int64_t batch = it->request.config.batch;
+        if (slices + batch > maxBatch) {
+            break; // the class's next group starts here
+        }
+        slices += batch;
+        group.push_back(std::move(*it));
+        it = jobs.erase(it);
+    }
+    return group;
+}
+
 std::vector<std::vector<ServeJob>>
 groupCompatible(std::deque<ServeJob> &&jobs, std::int64_t maxBatch)
 {
     std::vector<std::vector<ServeJob>> groups;
-    std::vector<std::int64_t> slices; // aligned with groups
-    std::map<std::string, std::size_t> open; // class -> open group index
     while (!jobs.empty()) {
-        ServeJob job = std::move(jobs.front());
-        jobs.pop_front();
-        const std::int64_t batch = job.request.config.batch;
-        if (maxBatch <= 1) {
-            groups.push_back({});
-            groups.back().push_back(std::move(job));
-            slices.push_back(batch);
-            continue;
-        }
-        const std::string key = compatibilityKey(job.request.config);
-        if (const auto it = open.find(key); it != open.end()) {
-            const std::size_t g = it->second;
-            if (slices[g] + batch <= maxBatch) {
-                groups[g].push_back(std::move(job));
-                slices[g] += batch;
-                if (slices[g] == maxBatch) {
-                    open.erase(it);
-                }
-                continue;
-            }
-            open.erase(it); // full enough; start a fresh group
-        }
-        groups.push_back({});
-        groups.back().push_back(std::move(job));
-        slices.push_back(batch);
-        if (batch < maxBatch) {
-            open[key] = groups.size() - 1;
-        }
+        groups.push_back(takeGroup(jobs, maxBatch));
     }
     return groups;
 }

@@ -14,11 +14,13 @@
  * in the group receives bit-for-bit the output it would have received
  * running alone (the batcher's core contract, tested as such).
  *
- * Grouping itself is deterministic and timing-free: jobs are taken in
- * arrival order and greedily appended to the open group of their class
- * until a group reaches the batch cap. The daemon decides *when* to
- * flush (its admission window); the replay checker flushes on stream
- * order alone, which is what makes `chimera-serve --check` reproducible.
+ * Grouping itself is deterministic and timing-free: takeGroup forms the
+ * queue's first group from the front job plus later jobs of its class,
+ * in arrival order, up to the batch cap. The daemon's executors call it
+ * whenever they go idle, so only requests that queued while every
+ * executor was busy coalesce; the replay checker calls it until the
+ * queue is empty (groupCompatible), which is what makes
+ * `chimera-serve --check` reproducible.
  */
 
 #include <cstdint>
@@ -40,9 +42,15 @@ struct ServeJob
     ExecuteRequest request;
 
     /**
+     * compatibilityKey(request.config). The daemon sets it at admission;
+     * takeGroup fills it in when empty, so a job is keyed once.
+     */
+    std::string classKey;
+
+    /**
      * Called exactly once with the finished response, from whichever
-     * executor thread ran the group. Must be thread-safe and cheap
-     * (the daemon's callback just enqueues to the completion queue).
+     * executor thread ran the group. Must be thread-safe (the daemon's
+     * callback writes the response to the request's connection).
      */
     std::function<void(ExecuteResponse &&)> complete;
 
@@ -58,13 +66,21 @@ struct ServeJob
 std::string compatibilityKey(const ir::GemmChainConfig &config);
 
 /**
- * Splits @p jobs (consumed; arrival order preserved) into batch groups:
- * members of one compatibility class coalesce — interleaved classes do
- * not break a group — until the group holds @p maxBatch total slices (a request with batch > 1
- * contributes that many slices; an oversized single request still forms
- * its own group). With @p maxBatch <= 1 every job is its own group.
- * Deterministic: depends only on job order and configs.
+ * Removes the first batch group from non-empty @p jobs and returns it:
+ * the front job, then later jobs of its compatibility class in arrival
+ * order — interleaved classes do not break a group — while the group
+ * holds at most @p maxBatch total slices (a request with batch > 1
+ * contributes that many slices; an oversized single request forms its
+ * own group). It stops at the first class member that does not fit.
+ * With @p maxBatch <= 1 the group is the front job alone. The jobs left
+ * behind keep their arrival order. Deterministic: depends only on job
+ * order and configs.
  */
+std::vector<ServeJob> takeGroup(std::deque<ServeJob> &jobs,
+                                std::int64_t maxBatch);
+
+/** Splits @p jobs (consumed) into batch groups: takeGroup until the
+ * queue is empty, so groups come out in order of their first job. */
 std::vector<std::vector<ServeJob>>
 groupCompatible(std::deque<ServeJob> &&jobs, std::int64_t maxBatch);
 

@@ -35,6 +35,7 @@
 #include <mutex>
 #include <string>
 
+#include "hw/machines.hpp"
 #include "ir/builders.hpp"
 #include "plan/plan_cache.hpp"
 #include "plan/planner.hpp"
@@ -45,7 +46,7 @@ namespace chimera::serve {
 struct PlannerGateOptions
 {
     /** On-chip capacity for planning, bytes. */
-    double capacityBytes = 768.0 * 1024;
+    double capacityBytes = hw::kPlanningBudgetBytes;
 
     /**
      * Plan-cache directory: empty = PlanCache::defaultDirectory().

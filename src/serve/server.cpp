@@ -137,13 +137,11 @@ Server::start()
     }
 
     running_.store(true);
-    admissionThread_ = std::thread([this] { admissionLoop(); });
     const int executors = std::max(1, options_.executors);
     executorThreads_.reserve(static_cast<std::size_t>(executors));
     for (int i = 0; i < executors; ++i) {
         executorThreads_.emplace_back([this] { executorLoop(); });
     }
-    writerThread_ = std::thread([this] { writerLoop(); });
     acceptThread_ = std::thread([this] { acceptLoop(); });
     CHIMERA_INFO("chimera-serve listening on " << options_.socketPath
                                                << " (" << executors
@@ -214,8 +212,7 @@ Server::readerLoop(const std::shared_ptr<Connection> &conn)
             decodeSpan.arg("req", static_cast<std::int64_t>(id))
                 .arg("error", std::string(e.what()));
             decodeSpan.end();
-            enqueueOutgoing(conn, encodeErrorResponse(type, id, e.what()),
-                            id);
+            respond(*conn, encodeErrorResponse(type, id, e.what()), id);
             continue;
         }
         decodeSpan.arg("req", static_cast<std::int64_t>(request.id))
@@ -235,18 +232,19 @@ Server::dispatchRequest(const std::shared_ptr<Connection> &conn,
         requestsAdmitted_.fetch_add(1, std::memory_order_relaxed);
         ServeJob job;
         job.request = std::move(request.execute);
+        // Keyed here, so executors take groups under the admission
+        // lock without formatting keys.
+        job.classKey = compatibilityKey(job.request.config);
         job.admittedSeconds = nowSeconds();
         conn->inflightJobs.fetch_add(1);
         job.complete = [this, conn](ExecuteResponse &&response) {
-            // Server-side request latency (admission -> completion),
+            // Server-side request latency (admission -> response ready),
             // recorded into the HDR histogram behind the `latency-*`
-            // stats lines before the response heads for the writer.
+            // stats lines before the write.
             latencySeconds_.recordSeconds(response.serverSeconds);
-            // Enqueue (pendingWrites++) strictly before inflightJobs--
-            // so the reaper never observes both counters at zero while
-            // this response is in flight.
-            const std::uint64_t id = response.id;
-            enqueueOutgoing(conn, encodeExecuteResponse(response), id);
+            // Written strictly before inflightJobs-- so the reaper never
+            // closes the socket under this response.
+            respond(*conn, encodeExecuteResponse(response), response.id);
             conn->inflightJobs.fetch_sub(1);
         };
         {
@@ -257,86 +255,17 @@ Server::dispatchRequest(const std::shared_ptr<Connection> &conn,
         return;
     }
     case MessageType::Stats:
-        enqueueOutgoing(conn,
-                        encodeStatsResponse(request.id, statsText()),
-                        request.id);
+        respond(*conn, encodeStatsResponse(request.id, statsText()),
+                request.id);
         return;
     case MessageType::Shutdown:
-        enqueueOutgoing(conn, encodeShutdownResponse(request.id),
-                        request.id);
+        respond(*conn, encodeShutdownResponse(request.id), request.id);
         {
             std::lock_guard<std::mutex> lock(shutdownMutex_);
             shutdownRequested_.store(true);
         }
         shutdownCv_.notify_all();
         return;
-    }
-}
-
-void
-Server::admissionLoop()
-{
-    if (obs::TraceRecorder *tracer = obs::trace()) {
-        tracer->nameThread("serve.admission");
-    }
-    std::unique_lock<std::mutex> lock(admissionMutex_);
-    while (true) {
-        admissionCv_.wait(lock, [&] {
-            return admissionStop_ || !admissionQueue_.empty();
-        });
-        if (admissionQueue_.empty()) {
-            if (admissionStop_) {
-                return;
-            }
-            continue;
-        }
-        if (options_.batching && options_.batchWindowMicros > 0 &&
-            !admissionStop_) {
-            // Hold the door briefly so companions arriving back-to-back
-            // coalesce; a stop request cuts the window short.
-            admissionCv_.wait_for(
-                lock, std::chrono::microseconds(options_.batchWindowMicros),
-                [&] { return admissionStop_; });
-        }
-        std::deque<ServeJob> pending;
-        pending.swap(admissionQueue_);
-        lock.unlock();
-
-        obs::TraceRecorder *const tracer = obs::trace();
-        obs::Span batchSpan(tracer, "serve.batch", "serve");
-        const std::int64_t jobsIn =
-            static_cast<std::int64_t>(pending.size());
-        std::vector<std::vector<ServeJob>> groups = groupCompatible(
-            std::move(pending), options_.batching ? options_.maxBatch : 1);
-        if (tracer != nullptr) {
-            batchSpan.arg("jobs", jobsIn)
-                .arg("groups", static_cast<std::int64_t>(groups.size()));
-            // One instant per formed group carrying its request-id list;
-            // this is the decode -> execute linkage when requests
-            // coalesce (serve.execute repeats the same `reqs` string).
-            for (const std::vector<ServeJob> &group : groups) {
-                std::string reqs;
-                std::int64_t slices = 0;
-                for (const ServeJob &job : group) {
-                    if (!reqs.empty()) {
-                        reqs += ",";
-                    }
-                    reqs += std::to_string(job.request.id);
-                    slices += job.request.config.batch;
-                }
-                tracer->instant("serve.group", "serve",
-                                {{"reqs", reqs}, {"slices", slices}});
-            }
-        }
-        batchSpan.end();
-        {
-            std::lock_guard<std::mutex> glock(groupMutex_);
-            for (auto &group : groups) {
-                groupQueue_.push_back(std::move(group));
-            }
-        }
-        groupCv_.notify_all();
-        lock.lock();
     }
 }
 
@@ -356,16 +285,20 @@ Server::executorLoop()
     const auto now = [this] { return nowSeconds(); };
     while (true) {
         std::vector<ServeJob> group;
+        bool more = false;
         {
-            std::unique_lock<std::mutex> lock(groupMutex_);
-            groupCv_.wait(lock, [&] {
-                return groupStop_ || !groupQueue_.empty();
+            std::unique_lock<std::mutex> lock(admissionMutex_);
+            admissionCv_.wait(lock, [&] {
+                return admissionStop_ || !admissionQueue_.empty();
             });
-            if (groupQueue_.empty()) {
-                return; // groupStop_ and fully drained
+            if (admissionQueue_.empty()) {
+                return; // admissionStop_ and fully drained
             }
-            group = std::move(groupQueue_.front());
-            groupQueue_.pop_front();
+            group = takeGroup(admissionQueue_, options_.maxBatch);
+            more = !admissionQueue_.empty();
+        }
+        if (more) {
+            admissionCv_.notify_one(); // the rest is another executor's
         }
         // Record the group size before executing: responses (and any
         // stats request racing them) land after executeGroup delivers,
@@ -388,56 +321,24 @@ Server::executorLoop()
 }
 
 void
-Server::writerLoop()
+Server::respond(Connection &conn, const std::string &payload,
+                std::uint64_t id)
 {
-    if (obs::TraceRecorder *tracer = obs::trace()) {
-        tracer->nameThread("serve.writer");
+    obs::Span writeSpan(obs::trace(), "serve.write", "serve");
+    writeSpan.arg("req", static_cast<std::int64_t>(id))
+        .arg("bytes", static_cast<std::int64_t>(payload.size()));
+    std::lock_guard<std::mutex> lock(conn.writeMutex);
+    if (conn.fd < 0) {
+        return;
     }
-    while (true) {
-        Outgoing out;
-        {
-            std::unique_lock<std::mutex> lock(outgoingMutex_);
-            outgoingCv_.wait(lock, [&] {
-                return outgoingStop_ || !outgoingQueue_.empty();
-            });
-            if (outgoingQueue_.empty()) {
-                return; // outgoingStop_ and fully drained
-            }
-            out = std::move(outgoingQueue_.front());
-            outgoingQueue_.pop_front();
-        }
-        {
-            obs::Span writeSpan(obs::trace(), "serve.write", "serve");
-            writeSpan.arg("req", static_cast<std::int64_t>(out.id))
-                .arg("bytes",
-                     static_cast<std::int64_t>(out.payload.size()));
-            std::lock_guard<std::mutex> wlock(out.conn->writeMutex);
-            if (out.conn->fd >= 0) {
-                try {
-                    writeFrame(out.conn->fd, out.payload);
-                    responsesWritten_.fetch_add(1,
-                                                std::memory_order_relaxed);
-                } catch (const Error &) {
-                    // Peer vanished mid-write: wake its reader, move on.
-                    ::shutdown(out.conn->fd, SHUT_RDWR);
-                    writeSpan.arg("error", std::string("peer-lost"));
-                }
-            }
-        }
-        out.conn->pendingWrites.fetch_sub(1);
+    try {
+        writeFrame(conn.fd, payload);
+        responsesWritten_.fetch_add(1, std::memory_order_relaxed);
+    } catch (const Error &) {
+        // Peer vanished mid-write: wake its reader, move on.
+        ::shutdown(conn.fd, SHUT_RDWR);
+        writeSpan.arg("error", std::string("peer-lost"));
     }
-}
-
-void
-Server::enqueueOutgoing(const std::shared_ptr<Connection> &conn,
-                        std::string &&payload, std::uint64_t id)
-{
-    conn->pendingWrites.fetch_add(1);
-    {
-        std::lock_guard<std::mutex> lock(outgoingMutex_);
-        outgoingQueue_.push_back(Outgoing{conn, std::move(payload), id});
-    }
-    outgoingCv_.notify_one();
 }
 
 void
@@ -448,11 +349,9 @@ Server::reapConnections(bool all)
         const std::shared_ptr<Connection> &conn = it->second;
         // A finished reader alone is not enough: a client may half-
         // close its send side and wait for responses, so keep the fd
-        // until every admitted job has completed and the writer has
-        // drained this connection's queue.
+        // until every admitted job's response has been written.
         if (!all && (!conn->readerDone.load() ||
-                     conn->inflightJobs.load() != 0 ||
-                     conn->pendingWrites.load() != 0)) {
+                     conn->inflightJobs.load() != 0)) {
             ++it;
             continue;
         }
@@ -514,22 +413,13 @@ Server::stop()
         }
     }
 
-    // 3. Admission flushes what it holds, then exits.
+    // 3. Executors run every queued request, write its response, then
+    // exit.
     {
         std::lock_guard<std::mutex> lock(admissionMutex_);
         admissionStop_ = true;
     }
     admissionCv_.notify_all();
-    if (admissionThread_.joinable()) {
-        admissionThread_.join();
-    }
-
-    // 4. Executors drain the group queue.
-    {
-        std::lock_guard<std::mutex> lock(groupMutex_);
-        groupStop_ = true;
-    }
-    groupCv_.notify_all();
     for (std::thread &t : executorThreads_) {
         if (t.joinable()) {
             t.join();
@@ -537,17 +427,7 @@ Server::stop()
     }
     executorThreads_.clear();
 
-    // 5. Writer flushes every queued response before sockets close.
-    {
-        std::lock_guard<std::mutex> lock(outgoingMutex_);
-        outgoingStop_ = true;
-    }
-    outgoingCv_.notify_all();
-    if (writerThread_.joinable()) {
-        writerThread_.join();
-    }
-
-    // 6. Tear down the sockets.
+    // 4. Tear down the sockets.
     reapConnections(true);
     if (listenFd_ >= 0) {
         ::close(listenFd_);
@@ -579,20 +459,11 @@ Server::dispatchRequest(const std::shared_ptr<Connection> &, Request &&)
 {
 }
 void
-Server::admissionLoop()
-{
-}
-void
 Server::executorLoop()
 {
 }
 void
-Server::writerLoop()
-{
-}
-void
-Server::enqueueOutgoing(const std::shared_ptr<Connection> &,
-                        std::string &&, std::uint64_t)
+Server::respond(Connection &, const std::string &, std::uint64_t)
 {
 }
 void

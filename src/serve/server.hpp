@@ -5,30 +5,31 @@
  * chimera-serve: the plan-and-serve daemon.
  *
  * A Unix-domain-socket server for chain-execution requests using the
- * length-prefixed protocol of serve/protocol.hpp. The thread layout:
+ * length-prefixed protocol of serve/protocol.hpp. A request crosses two
+ * threads:
  *
  *   accept loop ──► one reader per connection ──► admission queue
- *                                                      │ (batch window)
- *                                                admission thread
- *                                                      │ groupCompatible
- *                                                 group queue
- *                                                      │
- *                                               executor threads ──►
- *                                           completion queue ──► writer
+ *                                                      │ takeGroup
+ *                                               executor threads
  *
- * Readers parse and validate frames; admission coalesces compatible
- * requests along the b axis inside a short window; executors plan
- * through the single-flight PlannerGate and run groups on the compute
- * engine; one writer drains the completion queue back to the sockets,
- * so responses go out as they finish — out of order with respect to
- * arrival, matched by request id.
+ * Readers parse and validate frames and queue Execute requests. An idle
+ * executor takes the first group of the queue (the front request plus
+ * queued requests of its compatibility class, up to maxBatch slices),
+ * plans it through the single-flight PlannerGate, runs it on the
+ * compute engine and writes each member's response to its connection.
+ * Admission is work-conserving: a request that finds an executor idle
+ * runs at once, and requests coalesce along the b axis only when they
+ * queue while every executor is busy. Responses go out as they finish,
+ * out of order with respect to arrival, matched by request id. Readers
+ * write their own error, stats and shutdown replies; every write to a
+ * connection holds its writeMutex.
  *
  * A malformed payload inside a well-framed message gets an error
  * response (and bumps protocol-errors); an unframeable byte stream
  * (bad magic/length) closes the connection, since resynchronization is
  * impossible. A Shutdown request is acknowledged, then the daemon
- * drains: readers stop, queued groups execute, every queued response is
- * written, and only then do the sockets close.
+ * drains: readers stop, executors run every queued request and write
+ * its response, and only then do the sockets close.
  *
  * `runCheckReplay` is the socket-free deterministic core of
  * `chimera-serve --check`: it executes a request list twice — each
@@ -50,6 +51,7 @@
 
 #include "exec/compute_engine.hpp"
 #include "exec/exec_options.hpp"
+#include "hw/machines.hpp"
 #include "obs/metrics.hpp"
 #include "serve/batcher.hpp"
 #include "serve/planner_gate.hpp"
@@ -69,21 +71,12 @@ struct ServerOptions
     /** Worker threads per executed group (1 = serial execution). */
     int execThreads = 1;
 
-    /** Coalesce compatible requests along b (false = serve singly). */
-    bool batching = true;
-
-    /** Max total slices per batch group. */
+    /** Max total slices per batch group (<= 1 serves every request
+     * alone). */
     std::int64_t maxBatch = 8;
 
-    /**
-     * After the first queued request, admission waits this long for
-     * companions before flushing. 0 flushes immediately (batching then
-     * only groups requests that arrived while executors were busy).
-     */
-    std::int64_t batchWindowMicros = 200;
-
     /** On-chip capacity assumed when planning, bytes. */
-    double capacityBytes = 768.0 * 1024;
+    double capacityBytes = hw::kPlanningBudgetBytes;
 
     /** Plan-cache directory ("" = default, "-" = memory-only). */
     std::string cacheDir;
@@ -122,9 +115,10 @@ class Server
     void wait();
 
     /**
-     * Graceful drain in dependency order: accept loop, readers,
-     * admission, executors, writer; then sockets close and the socket
-     * file is unlinked. Idempotent; called by the destructor.
+     * Graceful drain in dependency order: accept loop, readers, then
+     * executors, which run every queued request and write its
+     * response; then sockets close and the socket file is unlinked.
+     * Idempotent; called by the destructor.
      */
     void stop();
 
@@ -159,44 +153,32 @@ class Server
         int fd = -1; ///< -1 once closed; guarded by writeMutex
         std::mutex writeMutex; ///< serializes writes and the close
         std::atomic<bool> readerDone{false};
-        /// Admitted Execute jobs whose response is not yet queued for
-        /// the writer. Incremented at dispatch, decremented by the
-        /// completion callback after it enqueues (so inflightJobs +
-        /// pendingWrites never transiently reads as zero mid-handoff).
-        std::atomic<std::int64_t> inflightJobs{0};
-        /// Responses queued for the writer but not yet written (or
-        /// dropped). A connection is reaped only once the reader is
-        /// done AND both counters are zero, so a client that half-
+        /// Admitted Execute jobs whose response is not yet written (or
+        /// dropped). Incremented at dispatch, decremented after the
+        /// executor's write. A connection is reaped only once the
+        /// reader is done AND this is zero, so a client that half-
         /// closes (shutdown(SHUT_WR)) and waits still gets every
         /// response to its in-flight requests.
-        std::atomic<std::int64_t> pendingWrites{0};
+        std::atomic<std::int64_t> inflightJobs{0};
         std::thread reader;
-    };
-
-    /** One encoded response awaiting the writer thread. */
-    struct Outgoing
-    {
-        std::shared_ptr<Connection> conn;
-        std::string payload;
-        std::uint64_t id = 0; ///< request id (trace span linkage)
     };
 
     void acceptLoop();
     void readerLoop(const std::shared_ptr<Connection> &conn);
-    void admissionLoop();
     void executorLoop();
-    void writerLoop();
 
     /** Handles one decoded request from @p conn's reader. */
     void dispatchRequest(const std::shared_ptr<Connection> &conn,
                          Request &&request);
 
-    void enqueueOutgoing(const std::shared_ptr<Connection> &conn,
-                         std::string &&payload, std::uint64_t id);
+    /** Writes one response frame to @p conn under its writeMutex; a
+     * lost peer is shut down so its reader wakes. */
+    void respond(Connection &conn, const std::string &payload,
+                 std::uint64_t id);
 
     /** Joins finished, fully-drained readers and closes their sockets
-     * (all = true closes unconditionally; used only after the writer
-     * has exited). */
+     * (all = true closes unconditionally; used only after the
+     * executors have exited). */
     void reapConnections(bool all);
 
     double nowSeconds() const;
@@ -215,9 +197,7 @@ class Server
 
     int listenFd_ = -1;
     std::thread acceptThread_;
-    std::thread admissionThread_;
     std::vector<std::thread> executorThreads_;
-    std::thread writerThread_;
 
     std::atomic<bool> running_{false};
     std::atomic<bool> shutdownRequested_{false};
@@ -232,16 +212,6 @@ class Server
     std::condition_variable admissionCv_;
     std::deque<ServeJob> admissionQueue_;
     bool admissionStop_ = false;
-
-    std::mutex groupMutex_;
-    std::condition_variable groupCv_;
-    std::deque<std::vector<ServeJob>> groupQueue_;
-    bool groupStop_ = false;
-
-    std::mutex outgoingMutex_;
-    std::condition_variable outgoingCv_;
-    std::deque<Outgoing> outgoingQueue_;
-    bool outgoingStop_ = false;
 
     std::atomic<std::int64_t> connectionsAccepted_{0};
     std::atomic<std::int64_t> requestsAdmitted_{0};
@@ -270,7 +240,7 @@ struct CheckResult
  */
 CheckResult runCheckReplay(std::vector<ExecuteRequest> requests,
                            std::int64_t maxBatch,
-                           double capacityBytes = 768.0 * 1024);
+                           double capacityBytes = hw::kPlanningBudgetBytes);
 
 /**
  * The built-in --check workload: a deterministic mix of compatibility

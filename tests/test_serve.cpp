@@ -10,10 +10,12 @@
 
 #include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <deque>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -357,6 +359,30 @@ TEST(ServeBatcher, NoBatchingMeansSingletons)
     EXPECT_EQ(ids, expected);
 }
 
+TEST(ServeBatcher, TakeGroupLeavesTheRestInArrivalOrder)
+{
+    const ir::GemmChainConfig classA = smallConfig();
+    ir::GemmChainConfig classB = smallConfig();
+    classB.n += 8;
+
+    std::deque<ServeJob> jobs;
+    jobs.push_back(jobOf(1, classA));
+    jobs.push_back(jobOf(2, classB));
+    jobs.push_back(jobOf(3, classA));
+    jobs.push_back(jobOf(4, classB));
+    jobs.push_back(jobOf(5, classA));
+    const auto ids = [](const auto &jobList) {
+        std::vector<std::uint64_t> out;
+        for (const ServeJob &job : jobList) {
+            out.push_back(job.request.id);
+        }
+        return out;
+    };
+    EXPECT_EQ(ids(takeGroup(jobs, 2)), (std::vector<std::uint64_t>{1, 3}));
+    EXPECT_EQ(ids(jobs), (std::vector<std::uint64_t>{2, 4, 5}))
+        << "the jobs left behind keep their arrival order";
+}
+
 TEST(ServeBatcher, ThrowingCompleteMidScatterFailsOnlySuffix)
 {
     PlannerGateOptions gateOptions;
@@ -452,58 +478,125 @@ TEST(ServeGate, ColdStampedePlansOnce)
     }
 }
 
+/** A fresh scratch directory named after @p name and this process. */
+std::filesystem::path
+scratchRoot(const std::string &name)
+{
+    const std::filesystem::path root =
+        std::filesystem::temp_directory_path() /
+        ("chimera-" + name + "-" + std::to_string(::getpid()));
+    std::filesystem::remove_all(root);
+    return root;
+}
+
+/** The file name of @p config's canonical-plan entry in a plan cache,
+ * from a gate that plans the key once in @p probeDir. */
+std::string
+cacheEntryOf(const ir::GemmChainConfig &config, const std::string &probeDir)
+{
+    PlannerGateOptions probe;
+    probe.cacheDir = probeDir;
+    PlannerGate gate(probe);
+    (void)gate.canonicalPlan(config);
+    std::string entry;
+    for (const auto &file : std::filesystem::directory_iterator(probeDir)) {
+        entry = file.path().filename().string();
+    }
+    return entry;
+}
+
+/**
+ * A FIFO at a plan-cache entry: a lookup of that entry, past its memory
+ * miss, blocks reading the FIFO for as long as this holds its writer
+ * open. Destruction releases the reader, so a failed assertion cannot
+ * leave a thread parked.
+ */
+class FifoHold
+{
+  public:
+    explicit FifoHold(std::string path) : path_(std::move(path))
+    {
+        made_ = ::mkfifo(path_.c_str(), 0600) == 0;
+    }
+    ~FifoHold() { release(); }
+    FifoHold(const FifoHold &) = delete;
+    FifoHold &operator=(const FifoHold &) = delete;
+
+    bool made() const { return made_; }
+
+    /** Waits up to ten seconds for a reader; true once one is held. A
+     * non-blocking writer opens only once a reader has the FIFO open,
+     * and the reader then blocks until the writer closes. */
+    bool awaitReader()
+    {
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while ((writer_ = ::open(path_.c_str(), O_WRONLY | O_NONBLOCK)) <
+                   0 &&
+               errno == ENXIO &&
+               std::chrono::steady_clock::now() < deadline) {
+            std::this_thread::yield();
+        }
+        return writer_ >= 0;
+    }
+
+    /** Removes the FIFO, so later lookups miss the disk; a held
+     * reader stays held. True when this call removed it. */
+    bool unlink()
+    {
+        if (!made_) {
+            return false;
+        }
+        made_ = false;
+        return ::unlink(path_.c_str()) == 0;
+    }
+
+    /** Unlinks, then lets the held reader read an empty entry (a
+     * miss). */
+    void release()
+    {
+        unlink();
+        if (writer_ >= 0) {
+            ::close(writer_);
+            writer_ = -1;
+        }
+    }
+
+  private:
+    std::string path_;
+    bool made_ = false;
+    int writer_ = -1;
+};
+
 TEST(ServeGate, MissBeforeTheStoreTakesTheFinishedFlightsPlan)
 {
     // Request A misses the cache before the leader stores, and reaches
     // the flight table only after the leader's flight has finished: it
     // must take the stored plan, not plan the key a second time. A FIFO
     // at the key's cache entry holds A inside its disk lookup (past the
-    // memory miss) for as long as this test keeps the FIFO's writer
-    // open.
+    // memory miss).
     const ir::GemmChainConfig cfg = smallConfig();
-    const std::filesystem::path root =
-        std::filesystem::temp_directory_path() /
-        ("chimera-late-miss-" + std::to_string(::getpid()));
-    std::filesystem::remove_all(root);
-
-    // The entry's file name, from a gate that plans the key once.
-    std::string entry;
-    {
-        PlannerGateOptions probe;
-        probe.cacheDir = (root / "probe").string();
-        PlannerGate gate(probe);
-        (void)gate.canonicalPlan(cfg);
-        for (const auto &file :
-             std::filesystem::directory_iterator(probe.cacheDir)) {
-            entry = file.path().filename().string();
-        }
-    }
+    const std::filesystem::path root = scratchRoot("late-miss");
+    const std::string entry = cacheEntryOf(cfg, (root / "probe").string());
     ASSERT_FALSE(entry.empty());
 
     PlannerGateOptions options;
     options.cacheDir = (root / "gate").string();
     std::filesystem::create_directories(options.cacheDir);
-    const std::string fifo = options.cacheDir + "/" + entry;
-    ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0) << std::strerror(errno);
+    FifoHold hold(options.cacheDir + "/" + entry);
+    ASSERT_TRUE(hold.made()) << std::strerror(errno);
     PlannerGate gate(options);
 
     plan::ExecutionPlan late;
     std::thread a([&] { late = gate.canonicalPlan(cfg); });
-    // A non-blocking writer opens only once A has the FIFO open for
-    // reading; A then blocks reading it until the writer closes.
-    int writer = -1;
-    while ((writer = ::open(fifo.c_str(), O_WRONLY | O_NONBLOCK)) < 0 &&
-           errno == ENXIO) {
-        std::this_thread::yield();
-    }
-    EXPECT_GE(writer, 0) << std::strerror(errno);
+    EXPECT_TRUE(hold.awaitReader()) << std::strerror(errno);
     // With the FIFO gone the leader's lookup misses the disk, and the
     // leader plans, stores and ends its flight while A is still held.
-    EXPECT_EQ(::unlink(fifo.c_str()), 0);
+    EXPECT_TRUE(hold.unlink());
     const plan::ExecutionPlan led = gate.canonicalPlan(cfg);
     // A reads an empty entry, counts a miss and goes on to the flight
     // table.
-    ::close(writer);
+    hold.release();
     a.join();
 
     EXPECT_EQ(gate.stats().flightsLed, 1)
@@ -614,7 +707,6 @@ TEST(ServeDaemon, EndToEndExecuteStatsShutdown)
     options.cacheDir = "-";
     options.executors = 2;
     options.maxBatch = 4;
-    options.batchWindowMicros = 500;
     Server server(options);
     server.start();
 
@@ -761,7 +853,7 @@ TEST(ServeDaemon, ColdStampedePlansOnceAcrossConnections)
     ServerOptions options;
     options.socketPath = socketPathFor("stampede");
     options.cacheDir = "-";
-    options.batching = false; // one group per request: max planner load
+    options.maxBatch = 1; // one group per request: max planner load
     options.executors = 4;
     Server server(options);
     server.start();
@@ -939,6 +1031,183 @@ TEST(ServeDaemon, StatsVersionTwoExposesLatencyHistogram)
     EXPECT_NE(json.find("\"chimera.serve.requests\": 5"),
               std::string::npos);
     EXPECT_NE(json.find("\"chimera.plan.planned\""), std::string::npos);
+}
+
+/** Polls @p done every millisecond for up to ten seconds. */
+template <typename Done>
+bool
+eventually(Done done)
+{
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!done()) {
+        if (std::chrono::steady_clock::now() > deadline) {
+            return false;
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
+}
+
+/** The cold request X that holds an executor: a class apart from
+ * smallConfig's, so X never joins the queued group. */
+ir::GemmChainConfig
+holdingConfig()
+{
+    ir::GemmChainConfig cfg = smallConfig();
+    cfg.n += 8;
+    return cfg;
+}
+
+TEST(ServeDaemon, RequestsQueuedBehindABusyExecutorCoalesce)
+{
+    // Requests that queue while every executor is busy coalesce: the
+    // one executor, once free, takes the four compatible requests as
+    // one group, however far apart they arrived. A cold request X holds
+    // the executor inside its disk lookup with a FIFO at X's entry.
+    const std::filesystem::path root = scratchRoot("coalesce");
+    ServerOptions options;
+    options.socketPath = socketPathFor("coalesce");
+    options.cacheDir = (root / "daemon").string();
+    options.executors = 1;
+    options.maxBatch = 4;
+    const std::string entry =
+        cacheEntryOf(holdingConfig(), (root / "probe").string());
+    ASSERT_FALSE(entry.empty());
+    std::filesystem::create_directories(options.cacheDir);
+    Server server(options);
+    FifoHold hold(options.cacheDir + "/" + entry);
+    ASSERT_TRUE(hold.made()) << std::strerror(errno);
+    server.start();
+
+    const int fd = connectTo(options.socketPath);
+    constexpr std::uint64_t kHeldId = 100;
+    writeFrame(fd, encodeExecuteRequest(makeRequest(kHeldId, holdingConfig())));
+    ASSERT_TRUE(hold.awaitReader()) << "the executor never reached X's entry";
+    constexpr std::int64_t kQueued = 4;
+    for (std::int64_t i = 1; i <= kQueued; ++i) {
+        writeFrame(fd, encodeExecuteRequest(makeRequest(
+                           static_cast<std::uint64_t>(i), smallConfig())));
+        ASSERT_TRUE(eventually(
+            [&] { return server.stats().requests == i + 1; }));
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    hold.release();
+
+    std::map<std::uint64_t, std::uint32_t> groupSize;
+    for (std::int64_t i = 0; i <= kQueued; ++i) {
+        std::optional<std::string> payload = readFrame(fd);
+        ASSERT_TRUE(payload.has_value());
+        const Response response = decodeResponse(*payload);
+        ASSERT_EQ(response.status, Status::Ok) << response.error;
+        groupSize[response.id] = response.execute.batchGroupSize;
+    }
+    EXPECT_EQ(groupSize[kHeldId], 1u);
+    for (std::uint64_t id = 1; id <= kQueued; ++id) {
+        EXPECT_EQ(groupSize[id], 4u)
+            << "request " << id << " did not join the queued group";
+    }
+    ::close(fd);
+    server.stop();
+    std::filesystem::remove_all(root);
+}
+
+TEST(ServeDaemon, ClientGoneMidGroupLeavesTheRestServed)
+{
+    // Connections A and B share a group; A is gone by the time the
+    // executor answers. The executor's write to A fails, B is still
+    // answered exactly once, and B's connection keeps serving.
+    const std::filesystem::path root = scratchRoot("client-gone");
+    ServerOptions options;
+    options.socketPath = socketPathFor("gone");
+    options.cacheDir = (root / "daemon").string();
+    options.executors = 1;
+    options.maxBatch = 4;
+    const std::string entry =
+        cacheEntryOf(holdingConfig(), (root / "probe").string());
+    ASSERT_FALSE(entry.empty());
+    std::filesystem::create_directories(options.cacheDir);
+    Server server(options);
+    FifoHold hold(options.cacheDir + "/" + entry);
+    ASSERT_TRUE(hold.made()) << std::strerror(errno);
+    server.start();
+
+    const int holder = connectTo(options.socketPath);
+    writeFrame(holder, encodeExecuteRequest(makeRequest(100, holdingConfig())));
+    ASSERT_TRUE(hold.awaitReader()) << "the executor never reached X's entry";
+    const int a = connectTo(options.socketPath);
+    const int b = connectTo(options.socketPath);
+    writeFrame(a, encodeExecuteRequest(makeRequest(1, smallConfig())));
+    ASSERT_TRUE(eventually([&] { return server.stats().requests == 2; }));
+    writeFrame(b, encodeExecuteRequest(makeRequest(2, smallConfig())));
+    ASSERT_TRUE(eventually([&] { return server.stats().requests == 3; }));
+    ::close(a);
+    hold.release();
+
+    std::optional<std::string> payload = readFrame(holder);
+    ASSERT_TRUE(payload.has_value());
+    EXPECT_EQ(decodeResponse(*payload).status, Status::Ok);
+
+    payload = readFrame(b);
+    ASSERT_TRUE(payload.has_value());
+    const Response response = decodeResponse(*payload);
+    EXPECT_EQ(response.status, Status::Ok) << response.error;
+    EXPECT_EQ(response.id, 2u);
+    EXPECT_EQ(response.execute.batchGroupSize, 2u)
+        << "A's and B's requests should have shared a group";
+
+    // Exactly once: the next frame on B answers B's Stats request.
+    writeFrame(b, encodeStatsRequest(3));
+    payload = readFrame(b);
+    ASSERT_TRUE(payload.has_value());
+    const Response stats = decodeResponse(*payload);
+    EXPECT_EQ(stats.type, MessageType::Stats);
+    EXPECT_EQ(stats.id, 3u);
+    EXPECT_EQ(statsValue(stats.statsText, "requests"), "3");
+    ::close(b);
+    ::close(holder);
+    server.stop();
+    std::filesystem::remove_all(root);
+}
+
+TEST(ServeDaemon, PlannerFailureAnswersEveryRequestOnce)
+{
+    ServerOptions options;
+    options.socketPath = socketPathFor("planfail");
+    options.cacheDir = "-";
+    options.capacityBytes = 1.0; // nothing fits: every plan throws
+    Server server(options);
+    server.start();
+
+    const int fd = connectTo(options.socketPath);
+    constexpr std::int64_t kRequests = 3;
+    for (std::uint64_t id = 1; id <= kRequests; ++id) {
+        writeFrame(fd, encodeExecuteRequest(makeRequest(id, smallConfig())));
+    }
+    std::set<std::uint64_t> ids;
+    for (std::int64_t i = 0; i < kRequests; ++i) {
+        std::optional<std::string> payload = readFrame(fd);
+        ASSERT_TRUE(payload.has_value());
+        const Response response = decodeResponse(*payload);
+        EXPECT_EQ(response.type, MessageType::Execute);
+        EXPECT_EQ(response.status, Status::Error);
+        EXPECT_FALSE(response.error.empty());
+        ids.insert(response.id);
+    }
+    EXPECT_EQ(ids, (std::set<std::uint64_t>{1, 2, 3}));
+
+    // The counter moves once each write has returned.
+    ASSERT_TRUE(eventually(
+        [&] { return server.stats().responses >= kRequests; }));
+    writeFrame(fd, encodeStatsRequest(9));
+    std::optional<std::string> payload = readFrame(fd);
+    ASSERT_TRUE(payload.has_value());
+    const Response stats = decodeResponse(*payload);
+    ASSERT_EQ(stats.type, MessageType::Stats)
+        << "a request was answered more than once";
+    EXPECT_EQ(statsValue(stats.statsText, "responses"), "3");
+    ::close(fd);
+    server.stop();
 }
 
 #endif // __unix__

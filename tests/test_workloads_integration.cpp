@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "exec/constraints.hpp"
+#include "hw/machines.hpp"
 #include "ir/workloads.hpp"
 #include "model/data_movement.hpp"
 #include "plan/planner.hpp"
@@ -17,13 +18,11 @@
 namespace chimera {
 namespace {
 
-constexpr double kCapacity = 768.0 * 1024;
-
 plan::PlannerOptions
 cpuOptions(const ir::Chain &chain)
 {
     plan::PlannerOptions options;
-    options.memCapacityBytes = kCapacity;
+    options.memCapacityBytes = hw::kPlanningBudgetBytes;
     options.constraints = exec::cpuChainConstraints(
         chain,
         kernels::MicroKernelRegistry::instance().select(detectSimdTier()));
@@ -45,7 +44,8 @@ TEST_P(TableIvPlanning, PlansFeasiblyAndBeatsSpilledVolume)
         const plan::ExecutionPlan plan =
             plan::planChain(chain, cpuOptions(chain));
 
-        EXPECT_LE(static_cast<double>(plan.memUsageBytes), kCapacity);
+        EXPECT_LE(static_cast<double>(plan.memUsageBytes),
+                  hw::kPlanningBudgetBytes);
         EXPECT_TRUE(model::isExecutableOrder(chain, plan.perm));
 
         model::ModelOptions spilled;
@@ -76,7 +76,8 @@ TEST_P(TableVPlanning, PlansFeasiblyAndBeatsSpilledVolume)
     const plan::ExecutionPlan plan =
         plan::planChain(chain, cpuOptions(chain));
 
-    EXPECT_LE(static_cast<double>(plan.memUsageBytes), kCapacity);
+    EXPECT_LE(static_cast<double>(plan.memUsageBytes),
+              hw::kPlanningBudgetBytes);
     EXPECT_TRUE(model::isExecutableOrder(chain, plan.perm));
 
     model::ModelOptions spilled;

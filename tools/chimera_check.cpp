@@ -40,7 +40,8 @@
  * Options:
  *   --plan <file>        verify the plan document instead of planning
  *   --fingerprint <hex>  expected fingerprint for --plan (rule PL10)
- *   --capacity <bytes>   on-chip budget for PL07/SB02 (default 786432)
+ *   --capacity <bytes>   on-chip budget for PL07/SB02 (default
+ *                        hw::kPlanningBudgetBytes)
  *   --softmax | --relu   fuse that epilogue on the intermediate
  *   --registers <N>      also audit the selected micro-kernel params
  *   --no-recount         skip the brute-force Algorithm-1 recount (PL09)
@@ -71,6 +72,7 @@
 #include "exec/conv_chain_exec.hpp"
 #include "exec/gemm_chain3_exec.hpp"
 #include "exec/gemm_chain_exec.hpp"
+#include "hw/machines.hpp"
 #include "ir/builders.hpp"
 #include "ir/dsl.hpp"
 #include "kernels/kernel_params.hpp"
@@ -90,7 +92,7 @@ using namespace chimera;
 
 struct CliOptions
 {
-    double capacityBytes = 768.0 * 1024;
+    double capacityBytes = hw::kPlanningBudgetBytes;
     ir::Epilogue epilogue = ir::Epilogue::None;
     std::string planFile;
     std::string fingerprint;

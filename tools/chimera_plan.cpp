@@ -11,7 +11,8 @@
  *                      <stride1> <stride2> [options]
  * Options:
  *   --softmax | --relu      fuse that epilogue on the intermediate
- *   --capacity <bytes>      on-chip memory budget (default 786432)
+ *   --capacity <bytes>      on-chip memory budget (default
+ *                           hw::kPlanningBudgetBytes)
  *   --threads <N>           planner threads (0 = CHIMERA_THREADS/auto)
  *   --emit-c                print the generated C kernel (GEMM chains)
  *   --emit-plan             print the serialized plan document
@@ -41,6 +42,7 @@
 #include <vector>
 
 #include "codegen/c_emitter.hpp"
+#include "hw/machines.hpp"
 #include "ir/dsl.hpp"
 #include "codegen/conv_emitter.hpp"
 #include "exec/constraints.hpp"
@@ -60,7 +62,7 @@ using namespace chimera;
 
 struct CliOptions
 {
-    double capacityBytes = 768.0 * 1024;
+    double capacityBytes = hw::kPlanningBudgetBytes;
     ir::Epilogue epilogue = ir::Epilogue::None;
     int threads = 0;
     bool emitC = false;

@@ -10,10 +10,10 @@
  *   --socket <path>         Unix-domain socket to listen on (daemon mode)
  *   --executors <N>         executor threads (default 2)
  *   --exec-threads <N>      worker threads per executed group (default 1)
- *   --no-batching           serve every request alone
- *   --max-batch <N>         max total slices per batch group (default 8)
- *   --batch-window-us <N>   admission coalescing window (default 200)
- *   --capacity <bytes>      planning memory budget (default 786432)
+ *   --max-batch <N>         max total slices per batch group (default 8;
+ *                           1 serves every request alone)
+ *   --capacity <bytes>      planning memory budget (default
+ *                           hw::kPlanningBudgetBytes)
  *   --cache-dir <dir>       plan-cache directory (default
  *                           CHIMERA_PLAN_CACHE or ~/.cache/chimera)
  *   --no-cache              memory-only plan cache
@@ -46,6 +46,7 @@
 #include <string>
 #include <thread>
 
+#include "hw/machines.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/server.hpp"
@@ -120,17 +121,16 @@ usage()
         "options:\n"
         "  --executors <N>        executor threads (default 2)\n"
         "  --exec-threads <N>     workers per executed group (default 1)\n"
-        "  --no-batching          serve every request alone\n"
-        "  --max-batch <N>        max slices per batch group (default 8)\n"
-        "  --batch-window-us <N>  admission window, microseconds "
-        "(default 200)\n"
-        "  --capacity <bytes>     planning budget (default 786432)\n"
+        "  --max-batch <N>        max slices per batch group (default 8;\n"
+        "                         1 serves every request alone)\n"
+        "  --capacity <bytes>     planning budget (default %.0f)\n"
         "  --cache-dir <dir>      plan-cache directory\n"
         "  --no-cache             memory-only plan cache\n"
         "  --verify               audit plans with the verifier\n"
         "  --trace-out <file>     write Chrome trace JSON at shutdown\n"
         "  --metrics-dump <file>  write metrics registry JSON at "
-        "shutdown\n");
+        "shutdown\n",
+        hw::kPlanningBudgetBytes);
 }
 
 } // namespace
@@ -171,12 +171,8 @@ main(int argc, char **argv)
             options.executors = number(parseIntStrict);
         } else if (arg == "--exec-threads") {
             options.execThreads = number(parseIntStrict);
-        } else if (arg == "--no-batching") {
-            options.batching = false;
         } else if (arg == "--max-batch") {
             options.maxBatch = number(parseInt64Strict);
-        } else if (arg == "--batch-window-us") {
-            options.batchWindowMicros = number(parseInt64Strict);
         } else if (arg == "--capacity") {
             options.capacityBytes = number(parseDoubleStrict);
         } else if (arg == "--cache-dir") {
@@ -210,8 +206,7 @@ main(int argc, char **argv)
     try {
         if (check) {
             const serve::CheckResult result = serve::runCheckReplay(
-                serve::builtinCheckWorkload(),
-                options.batching ? options.maxBatch : 1,
+                serve::builtinCheckWorkload(), options.maxBatch,
                 options.capacityBytes);
             std::printf("chimera-serve check\n");
             std::printf("requests: %lld\n",
