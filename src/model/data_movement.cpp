@@ -1,6 +1,7 @@
 #include "model/data_movement.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "support/error.hpp"
 #include "support/mathutil.hpp"
@@ -55,73 +56,71 @@ blockCount(const Chain &chain, const std::vector<std::int64_t> &tiles,
 }
 
 /**
- * Movement multiplier for one tensor within one operator: the product of
- * trip counts of every block loop from the innermost accessing loop
- * outward (Algorithm 1 lines 9-15).
+ * The keep_reuse rule of Algorithm 1 (lines 9-15) over one reversed
+ * scan: skips one-block loops and calls @p visit(axis, blocks, reused)
+ * for the rest, where reused stays true until the first loop that
+ * indexes the tensor.
  */
-double
-tensorMovementMultiplier(const Chain &chain, const OpDecl &op,
-                         const TensorDecl &tensor,
-                         const std::vector<AxisId> &activePerm,
-                         const std::vector<std::int64_t> &tiles)
+template <typename Step, typename Visit>
+void
+walkReuseScan(const Step *begin, const Step *end, const std::int64_t *blocks,
+              Visit &&visit)
 {
-    double multiplier = 1.0;
     bool keepReuse = true;
-    for (auto it = activePerm.rbegin(); it != activePerm.rend(); ++it) {
-        const AxisId axis = *it;
-        if (!op.usesLoop(axis)) {
-            continue;
-        }
-        const std::int64_t blocks = blockCount(chain, tiles, axis);
-        if (blocks == 1) {
+    for (const Step *step = begin; step != end; ++step) {
+        const std::int64_t b = blocks[static_cast<std::size_t>(step->axis)];
+        if (b == 1) {
             continue; // single block: never replaces the tensor's tile
         }
-        if (tensor.usesAxis(axis)) {
+        if (step->usesTensor) {
             keepReuse = false;
         }
-        if (!keepReuse) {
-            multiplier *= static_cast<double>(blocks);
-        }
+        visit(step->axis, b, keepReuse);
     }
-    return multiplier;
 }
 
 } // namespace
 
-DataMovement
-computeDataMovement(const Chain &chain, const std::vector<AxisId> &perm,
-                    const std::vector<std::int64_t> &tiles,
-                    const ModelOptions &options)
+DataMovementModel::DataMovementModel(const Chain &chain,
+                                     const std::vector<AxisId> &perm,
+                                     const ModelOptions &options)
 {
     validatePermutation(chain, perm);
-    validateTiles(chain, tiles);
-
-    DataMovement result;
-    result.perTensorBytes.assign(chain.tensors().size(), 0.0);
+    CHIMERA_CHECK(chain.numAxes() <= kMaxAxes,
+                  "chain has more axes than the data movement model supports");
+    extents_ = chain.fullExtents();
+    numTensors_ = chain.tensors().size();
 
     std::vector<AxisId> activePerm = perm;
     for (std::size_t opIdx = 0; opIdx < chain.ops().size(); ++opIdx) {
         const OpDecl &op = chain.ops()[opIdx];
-        std::int64_t totalFootprintBytes = 0;
+        removedBefore_.push_back(removed_.size());
         for (int t : op.tensorIds) {
             const TensorDecl &tensor =
                 chain.tensors()[static_cast<std::size_t>(t)];
-            const std::int64_t footprintBytes =
-                tensor.footprintElems(tiles) * tensor.elementSize;
-            totalFootprintBytes += footprintBytes;
-
-            const bool counted = options.intermediatesAreIO ||
-                                 tensor.kind != TensorKind::Intermediate;
-            if (!counted) {
-                continue;
+            Access access;
+            access.tensor = t;
+            access.elementSize = tensor.elementSize;
+            access.counted = options.intermediatesAreIO ||
+                             tensor.kind != TensorKind::Intermediate;
+            for (const ir::AccessDim &dim : tensor.dims) {
+                terms_.insert(terms_.end(), dim.terms.begin(),
+                              dim.terms.end());
+                dimTermsEnd_.push_back(terms_.size());
             }
-            const double movement =
-                static_cast<double>(footprintBytes) *
-                tensorMovementMultiplier(chain, op, tensor, activePerm,
-                                         tiles);
-            result.volumeBytes += movement;
-            result.perTensorBytes[static_cast<std::size_t>(t)] += movement;
+            access.dimsEnd = dimTermsEnd_.size();
+            if (access.counted) {
+                for (auto it = activePerm.rbegin(); it != activePerm.rend();
+                     ++it) {
+                    if (op.usesLoop(*it)) {
+                        scan_.push_back({*it, tensor.usesAxis(*it)});
+                    }
+                }
+            }
+            access.scanEnd = scan_.size();
+            accesses_.push_back(access);
         }
+        opAccessesEnd_.push_back(accesses_.size());
 
         // Remove loops private to this producer before visiting consumers
         // (Algorithm 1 lines 17-19, observation 3).
@@ -129,11 +128,145 @@ computeDataMovement(const Chain &chain, const std::vector<AxisId> &perm,
             activePerm.erase(
                 std::remove(activePerm.begin(), activePerm.end(), axis),
                 activePerm.end());
+            removed_.push_back(axis);
+        }
+    }
+}
+
+DataMovement
+DataMovementModel::evaluate(const std::vector<std::int64_t> &tiles) const
+{
+    return evaluateInto(tiles, nullptr);
+}
+
+DataMovement
+DataMovementModel::evaluate(const std::vector<std::int64_t> &tiles,
+                            std::vector<double> &perTensorBytes) const
+{
+    perTensorBytes.assign(numTensors_, 0.0);
+    return evaluateInto(tiles, perTensorBytes.data());
+}
+
+DataMovement
+DataMovementModel::evaluateInto(const std::vector<std::int64_t> &tiles,
+                                double *perTensorBytes) const
+{
+    std::array<std::int64_t, kMaxAxes> blocks{};
+    for (std::size_t a = 0; a < extents_.size(); ++a) {
+        blocks[a] = ceilDiv(extents_[a], tiles[a]);
+    }
+
+    DataMovement result;
+    std::size_t access = 0;
+    std::size_t dim = 0;
+    std::size_t term = 0;
+    const ScanStep *scan = scan_.data();
+    for (std::size_t opEnd : opAccessesEnd_) {
+        std::int64_t totalFootprintBytes = 0;
+        for (; access < opEnd; ++access) {
+            const Access &acc = accesses_[access];
+            std::int64_t elems = 1;
+            for (; dim < acc.dimsEnd; ++dim) {
+                std::int64_t fp = 1;
+                for (; term < dimTermsEnd_[dim]; ++term) {
+                    const ir::AccessTerm &t = terms_[term];
+                    fp += t.coeff *
+                          (tiles[static_cast<std::size_t>(t.axis)] - 1);
+                }
+                elems *= fp;
+            }
+            const std::int64_t footprintBytes = elems * acc.elementSize;
+            totalFootprintBytes += footprintBytes;
+
+            const ScanStep *scanBegin = scan;
+            scan = scan_.data() + acc.scanEnd;
+            if (!acc.counted) {
+                continue;
+            }
+            double multiplier = 1.0;
+            walkReuseScan(scanBegin, scan, blocks.data(),
+                          [&](AxisId, std::int64_t b, bool reused) {
+                              if (!reused) {
+                                  multiplier *= static_cast<double>(b);
+                              }
+                          });
+            const double movement =
+                static_cast<double>(footprintBytes) * multiplier;
+            result.volumeBytes += movement;
+            if (perTensorBytes != nullptr) {
+                perTensorBytes[acc.tensor] += movement;
+            }
         }
         result.memUsageBytes =
             std::max(result.memUsageBytes, totalFootprintBytes);
     }
     return result;
+}
+
+DataMovement
+computeDataMovement(const Chain &chain, const std::vector<AxisId> &perm,
+                    const std::vector<std::int64_t> &tiles,
+                    const ModelOptions &options)
+{
+    const DataMovementModel model(chain, perm, options);
+    validateTiles(chain, tiles);
+    std::vector<double> perTensorBytes;
+    DataMovement result = model.evaluate(tiles, perTensorBytes);
+    result.perTensorBytes = std::move(perTensorBytes);
+    return result;
+}
+
+std::vector<std::vector<AxisRole>>
+intermediateAxisRoles(const Chain &chain,
+                      const std::vector<std::int64_t> &tiles)
+{
+    validateTiles(chain, tiles);
+    std::vector<std::vector<AxisRole>> roles;
+    for (std::size_t t = 0; t < chain.tensors().size(); ++t) {
+        const TensorDecl &tensor = chain.tensors()[t];
+        if (tensor.kind != TensorKind::Intermediate) {
+            continue;
+        }
+        std::vector<AxisRole> &role = roles.emplace_back(
+            static_cast<std::size_t>(chain.numAxes()), AxisRole::None);
+        for (const OpDecl &op : chain.ops()) {
+            const bool touches =
+                std::find(op.tensorIds.begin(), op.tensorIds.end(),
+                          static_cast<int>(t)) != op.tensorIds.end();
+            if (!touches) {
+                continue;
+            }
+            for (AxisId axis : op.loops) {
+                const ir::Axis &a =
+                    chain.axes()[static_cast<std::size_t>(axis)];
+                if (a.reorderable && a.extent > 1 &&
+                    blockCount(chain, tiles, axis) > 1) {
+                    role[static_cast<std::size_t>(axis)] =
+                        tensor.usesAxis(axis) ? AxisRole::Region
+                                              : AxisRole::User;
+                }
+            }
+        }
+    }
+    return roles;
+}
+
+bool
+isExecutableOrder(const std::vector<std::vector<AxisRole>> &roles,
+                  const std::vector<AxisId> &perm)
+{
+    for (const std::vector<AxisRole> &role : roles) {
+        bool userSeen = false;
+        for (AxisId axis : perm) {
+            const AxisRole r = role[static_cast<std::size_t>(axis)];
+            if (r == AxisRole::User) {
+                userSeen = true;
+            } else if (r == AxisRole::Region && userSeen) {
+                return false; // region revisited by an outer loop
+            }
+        }
+    }
+    return true;
 }
 
 bool
@@ -152,108 +285,51 @@ isExecutableOrder(const Chain &chain, const std::vector<AxisId> &perm,
                   const std::vector<std::int64_t> &tiles)
 {
     validatePermutation(chain, perm);
-    validateTiles(chain, tiles);
-    std::vector<int> position(perm.size());
-    for (std::size_t i = 0; i < perm.size(); ++i) {
-        position[static_cast<std::size_t>(perm[i])] = static_cast<int>(i);
-    }
-    auto isFreeAxis = [&](AxisId axis) {
-        const ir::Axis &a = chain.axes()[static_cast<std::size_t>(axis)];
-        return a.reorderable && a.extent > 1 &&
-               blockCount(chain, tiles, axis) > 1;
-    };
-
-    for (std::size_t t = 0; t < chain.tensors().size(); ++t) {
-        const TensorDecl &tensor = chain.tensors()[t];
-        if (tensor.kind != TensorKind::Intermediate) {
-            continue;
-        }
-        // Region axes index the intermediate; user axes belong to its
-        // producer or consumer nests.
-        std::vector<AxisId> regionAxes;
-        std::vector<AxisId> otherAxes;
-        for (const OpDecl &op : chain.ops()) {
-            const bool touches =
-                std::find(op.tensorIds.begin(), op.tensorIds.end(),
-                          static_cast<int>(t)) != op.tensorIds.end();
-            if (!touches) {
-                continue;
-            }
-            for (AxisId axis : op.loops) {
-                if (!isFreeAxis(axis)) {
-                    continue;
-                }
-                auto &dst =
-                    tensor.usesAxis(axis) ? regionAxes : otherAxes;
-                if (std::find(dst.begin(), dst.end(), axis) == dst.end()) {
-                    dst.push_back(axis);
-                }
-            }
-        }
-        for (AxisId region : regionAxes) {
-            for (AxisId other : otherAxes) {
-                if (position[static_cast<std::size_t>(other)] <
-                    position[static_cast<std::size_t>(region)]) {
-                    return false; // region revisited by an outer loop
-                }
-            }
-        }
-    }
-    return true;
+    return isExecutableOrder(intermediateAxisRoles(chain, tiles), perm);
 }
 
 std::vector<std::vector<std::string>>
 reuseAxesPerTensor(const Chain &chain, const std::vector<AxisId> &perm,
                    const std::vector<std::int64_t> &tiles)
 {
-    validatePermutation(chain, perm);
+    const DataMovementModel model(chain, perm);
     validateTiles(chain, tiles);
+    std::vector<std::int64_t> blocks;
+    for (AxisId a = 0; a < chain.numAxes(); ++a) {
+        blocks.push_back(blockCount(chain, tiles, a));
+    }
+    auto nameOf = [&](AxisId axis) {
+        return chain.axes()[static_cast<std::size_t>(axis)].name;
+    };
 
     std::vector<std::vector<std::string>> reuse(chain.tensors().size());
-    std::vector<AxisId> activePerm = perm;
-    std::vector<AxisId> removedPrivate;
-    for (std::size_t opIdx = 0; opIdx < chain.ops().size(); ++opIdx) {
-        const OpDecl &op = chain.ops()[opIdx];
-        for (int t : op.tensorIds) {
-            const TensorDecl &tensor =
-                chain.tensors()[static_cast<std::size_t>(t)];
-            if (tensor.kind == TensorKind::Intermediate) {
-                continue;
+    std::size_t access = 0;
+    const DataMovementModel::ScanStep *scan = model.scan_.data();
+    for (std::size_t op = 0; op < model.opAccessesEnd_.size(); ++op) {
+        for (; access < model.opAccessesEnd_[op]; ++access) {
+            const DataMovementModel::Access &acc = model.accesses_[access];
+            const DataMovementModel::ScanStep *scanBegin = scan;
+            scan = model.scan_.data() + acc.scanEnd;
+            if (!acc.counted) {
+                continue; // intermediates are never moved
             }
+            std::vector<std::string> &axes =
+                reuse[static_cast<std::size_t>(acc.tensor)];
             // Loops private to earlier producers never iterate over a
             // consumer's tensors (observation 3): the paper reports them
             // as reuse dimensions ("D and E are always reused along k").
-            for (AxisId axis : removedPrivate) {
-                if (blockCount(chain, tiles, axis) > 1) {
-                    reuse[static_cast<std::size_t>(t)].push_back(
-                        chain.axes()[static_cast<std::size_t>(axis)].name);
+            for (std::size_t i = 0; i < model.removedBefore_[op]; ++i) {
+                const AxisId axis = model.removed_[i];
+                if (blocks[static_cast<std::size_t>(axis)] > 1) {
+                    axes.push_back(nameOf(axis));
                 }
             }
-            bool keepReuse = true;
-            for (auto it = activePerm.rbegin(); it != activePerm.rend();
-                 ++it) {
-                const AxisId axis = *it;
-                if (!op.usesLoop(axis)) {
-                    // Loops of other operators never move this tensor.
-                    continue;
-                }
-                if (blockCount(chain, tiles, axis) == 1) {
-                    continue;
-                }
-                if (tensor.usesAxis(axis)) {
-                    keepReuse = false;
-                }
-                if (keepReuse) {
-                    reuse[static_cast<std::size_t>(t)].push_back(
-                        chain.axes()[static_cast<std::size_t>(axis)].name);
-                }
-            }
-        }
-        for (ir::AxisId axis : chain.privateAxesOf(static_cast<int>(opIdx))) {
-            activePerm.erase(
-                std::remove(activePerm.begin(), activePerm.end(), axis),
-                activePerm.end());
-            removedPrivate.push_back(axis);
+            walkReuseScan(scanBegin, scan, blocks.data(),
+                          [&](AxisId axis, std::int64_t, bool reused) {
+                              if (reused) {
+                                  axes.push_back(nameOf(axis));
+                              }
+                          });
         }
     }
     return reuse;

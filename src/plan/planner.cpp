@@ -40,55 +40,31 @@ alphaConstraints(const Chain &chain, std::int64_t alpha)
 solver::TileConstraints
 executabilityPins(const Chain &chain)
 {
-    // Region (R) and user (U) axis sets per intermediate, over free
-    // multi-extent reorderable axes.
-    struct Sets
-    {
-        std::vector<AxisId> region;
-        std::vector<AxisId> users;
+    // Region (R) and user (U) axes per intermediate, with every free
+    // multi-extent reorderable axis blocked.
+    const std::vector<std::vector<model::AxisRole>> roles =
+        model::intermediateAxisRoles(
+            chain,
+            std::vector<std::int64_t>(
+                static_cast<std::size_t>(chain.numAxes()), 1));
+    const auto has = [&](std::size_t i, AxisId axis, model::AxisRole role) {
+        return roles[i][static_cast<std::size_t>(axis)] == role;
     };
-    std::vector<Sets> sets;
-    for (std::size_t t = 0; t < chain.tensors().size(); ++t) {
-        const ir::TensorDecl &tensor = chain.tensors()[t];
-        if (tensor.kind != ir::TensorKind::Intermediate) {
-            continue;
-        }
-        Sets s;
-        for (const ir::OpDecl &op : chain.ops()) {
-            if (std::find(op.tensorIds.begin(), op.tensorIds.end(),
-                          static_cast<int>(t)) == op.tensorIds.end()) {
-                continue;
-            }
-            for (AxisId axis : op.loops) {
-                const ir::Axis &a =
-                    chain.axes()[static_cast<std::size_t>(axis)];
-                if (!a.reorderable || a.extent <= 1) {
-                    continue;
-                }
-                auto &dst = tensor.usesAxis(axis) ? s.region : s.users;
-                if (std::find(dst.begin(), dst.end(), axis) == dst.end()) {
-                    dst.push_back(axis);
-                }
-            }
-        }
-        sets.push_back(std::move(s));
-    }
 
     solver::TileConstraints pins;
-    auto contains = [](const std::vector<AxisId> &v, AxisId a) {
-        return std::find(v.begin(), v.end(), a) != v.end();
-    };
-    for (std::size_t i = 0; i < sets.size(); ++i) {
-        for (std::size_t j = i + 1; j < sets.size(); ++j) {
+    for (std::size_t i = 0; i < roles.size(); ++i) {
+        for (std::size_t j = i + 1; j < roles.size(); ++j) {
             // Cycle: x in R_i and U_j, y in U_i and R_j. Pinning y to
             // its extent removes it from both sets and breaks the cycle
             // (the later intermediate becomes panel-resident along y).
-            for (AxisId x : sets[i].region) {
-                if (!contains(sets[j].users, x)) {
+            for (AxisId x = 0; x < chain.numAxes(); ++x) {
+                if (!has(i, x, model::AxisRole::Region) ||
+                    !has(j, x, model::AxisRole::User)) {
                     continue;
                 }
-                for (AxisId y : sets[i].users) {
-                    if (contains(sets[j].region, y)) {
+                for (AxisId y = 0; y < chain.numAxes(); ++y) {
+                    if (has(i, y, model::AxisRole::User) &&
+                        has(j, y, model::AxisRole::Region)) {
                         pins.fixed[y] =
                             chain.axes()[static_cast<std::size_t>(y)]
                                 .extent;
@@ -420,8 +396,11 @@ planChainUncached(const Chain &chain, const PlannerOptions &options)
     stats.truncated = truncated;
 
     // Serial pre-pass per candidate: symmetry-class membership, then the
-    // executability filter. Only the survivors reach the tile solver.
+    // executability filter by axis positions against region/user sets
+    // derived once. Only the survivors reach the tile solver.
     const analysis::OrderAnalyzer analyzer(chain, constraints);
+    const std::vector<std::vector<model::AxisRole>> roles =
+        model::intermediateAxisRoles(chain, filterTiles);
     std::unordered_set<std::string> seenKeys;
     const bool useSymmetry = options.prune == analysis::PruneMode::Symmetry;
     std::vector<std::size_t> survivors;
@@ -431,7 +410,7 @@ planChainUncached(const Chain &chain, const PlannerOptions &options)
             !seenKeys.insert(analyzer.symmetryKey(perm)).second) {
             ++stats.symmetryPruned;
         } else if (options.onlyExecutableOrders &&
-                   !model::isExecutableOrder(chain, perm, filterTiles)) {
+                   !model::isExecutableOrder(roles, perm)) {
             ++stats.filtered;
         } else {
             survivors.push_back(i);

@@ -63,7 +63,7 @@ solveTiles(const Chain &chain, const std::vector<AxisId> &perm,
            const TileConstraints &constraints,
            const TileSolverOptions &options)
 {
-    model::validatePermutation(chain, perm);
+    const model::DataMovementModel model(chain, perm, options.model);
     CHIMERA_CHECK(options.memCapacityBytes > 0.0,
                   "solver needs a positive memory capacity");
 
@@ -77,18 +77,20 @@ solveTiles(const Chain &chain, const std::vector<AxisId> &perm,
     // Start from the smallest candidate everywhere: always the least
     // memory usage, so feasibility (if attainable at all) holds from the
     // first point and descent only moves between feasible points.
-    std::vector<std::int64_t> tiles(static_cast<std::size_t>(numAxes));
-    std::vector<std::size_t> candIdx(static_cast<std::size_t>(numAxes), 0);
-    for (AxisId a = 0; a < numAxes; ++a) {
-        tiles[static_cast<std::size_t>(a)] =
-            candidates[static_cast<std::size_t>(a)].front();
+    std::vector<std::int64_t> tiles;
+    std::vector<std::int64_t> largest;
+    for (const std::vector<std::int64_t> &cands : candidates) {
+        tiles.push_back(cands.front());
+        largest.push_back(cands.back());
     }
+    std::vector<std::size_t> candIdx(static_cast<std::size_t>(numAxes), 0);
+    // Every vector evaluated below is drawn from these ascending lists,
+    // so checking each axis's smallest and largest candidate once stands
+    // in for model::validateTiles on every evaluation.
+    model::validateTiles(chain, tiles);
+    model::validateTiles(chain, largest);
 
-    auto evaluate = [&](const std::vector<std::int64_t> &t) {
-        return model::computeDataMovement(chain, perm, t, options.model);
-    };
-
-    model::DataMovement best = evaluate(tiles);
+    model::DataMovement best = model.evaluate(tiles);
     TileSolution solution;
     solution.tiles = tiles;
     solution.volumeBytes = best.volumeBytes;
@@ -118,7 +120,7 @@ solveTiles(const Chain &chain, const std::vector<AxisId> &perm,
             }
             const std::int64_t saved = tiles[static_cast<std::size_t>(a)];
             tiles[static_cast<std::size_t>(a)] = cands[next];
-            const model::DataMovement dm = evaluate(tiles);
+            const model::DataMovement dm = model.evaluate(tiles);
             tiles[static_cast<std::size_t>(a)] = saved;
             if (static_cast<double>(dm.memUsageBytes) >
                 options.memCapacityBytes) {
@@ -162,7 +164,7 @@ solveTiles(const Chain &chain, const std::vector<AxisId> &perm,
                     continue;
                 }
                 tiles[static_cast<std::size_t>(a)] = cand;
-                const model::DataMovement dm = evaluate(tiles);
+                const model::DataMovement dm = model.evaluate(tiles);
                 const bool fits = static_cast<double>(dm.memUsageBytes) <=
                                   options.memCapacityBytes;
                 if (!fits) {
@@ -205,7 +207,7 @@ solveTiles(const Chain &chain, const std::vector<AxisId> &perm,
                     break;
                 }
                 tiles[static_cast<std::size_t>(a)] = cands[ci];
-                const model::DataMovement dm = evaluate(tiles);
+                const model::DataMovement dm = model.evaluate(tiles);
                 if (static_cast<double>(dm.memUsageBytes) <=
                         options.memCapacityBytes &&
                     dm.volumeBytes < solution.volumeBytes + 0.5) {
@@ -222,7 +224,7 @@ solveTiles(const Chain &chain, const std::vector<AxisId> &perm,
     }
 
     solution.tiles = tiles;
-    const model::DataMovement finalDm = evaluate(tiles);
+    const model::DataMovement finalDm = model.evaluate(tiles);
     solution.volumeBytes = finalDm.volumeBytes;
     solution.memUsageBytes = finalDm.memUsageBytes;
     solution.feasible = static_cast<double>(finalDm.memUsageBytes) <=

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "ir/builders.hpp"
 #include "solver/closed_form.hpp"
@@ -186,6 +187,31 @@ TEST(TileSolver, RespectsFixedTiles)
     const TileSolution sol = solveTiles(chain, perm, constraints, options);
     ASSERT_TRUE(sol.feasible);
     EXPECT_EQ(sol.tiles[static_cast<std::size_t>(k)], 16);
+}
+
+TEST(TileSolver, RejectsOutOfRangeFixedTile)
+{
+    // The solver validates each axis's candidate list once instead of
+    // every evaluated tile vector: a fixed tile below 1 must still throw
+    // the tile-range error for its axis.
+    const Chain chain = makeGemmChain(cfgOf(1, 64, 32, 16, 48));
+    const ir::AxisId k = axisIdByName(chain, "k");
+    TileSolverOptions options;
+    options.memCapacityBytes = 32.0 * 1024;
+    const std::vector<ir::AxisId> perm = {0, 1, 2, 3};
+    for (std::int64_t bad : {0, -4}) {
+        TileConstraints constraints;
+        constraints.fixed[k] = bad;
+        try {
+            (void)solveTiles(chain, perm, constraints, options);
+            ADD_FAILURE() << "fixed tile " << bad << " was accepted";
+        } catch (const Error &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "tile size out of range for axis k"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(TileSolver, RequiresPositiveCapacity)

@@ -23,6 +23,7 @@
 #include "plan/plan_io.hpp"
 #include "plan/planner.hpp"
 #include "support/error.hpp"
+#include "support/rng.hpp"
 #include "verify/chain_verifier.hpp"
 #include "verify/plan_verifier.hpp"
 
@@ -303,6 +304,63 @@ TEST(PlanVerifier, FlagsNonExecutableOrder)
     EXPECT_FALSE(report.hasRule("PL06")) << report.render();
 }
 
+/** Algorithm 1 and the brute-force recount agree on MU and per tensor. */
+void
+expectRecountMatches(const ir::Chain &chain,
+                     const std::vector<ir::AxisId> &perm,
+                     const std::vector<std::int64_t> &tiles,
+                     const model::ModelOptions &options)
+{
+    std::ostringstream where;
+    where << chain.name() << " order " << plan::orderString(chain, perm)
+          << " tiles";
+    for (std::int64_t tile : tiles) {
+        where << " " << tile;
+    }
+    where << (options.intermediatesAreIO ? " spilled" : " on-chip");
+    const model::DataMovement algo =
+        model::computeDataMovement(chain, perm, tiles, options);
+    const auto brute =
+        bruteForceDataMovement(chain, perm, tiles, options, 1 << 20);
+    ASSERT_TRUE(brute.has_value()) << where.str();
+    EXPECT_EQ(brute->memUsageBytes, algo.memUsageBytes) << where.str();
+    for (std::size_t t = 0; t < chain.tensors().size(); ++t) {
+        EXPECT_NEAR(brute->perTensorBytes[t], algo.perTensorBytes[t], 0.5)
+            << where.str() << " tensor " << chain.tensors()[t].name;
+    }
+}
+
+ir::Chain
+chain3UnderTest(ir::Epilogue epilogue)
+{
+    ir::GemmChain3Config cfg;
+    cfg.batch = 2;
+    cfg.m = 16;
+    cfg.l = 12;
+    cfg.k = 8;
+    cfg.p = 8;
+    cfg.n = 6;
+    cfg.epilogue = epilogue;
+    cfg.name = epilogue == ir::Epilogue::Softmax ? "attn" : "gemm3";
+    return ir::makeGemmChain3(cfg);
+}
+
+ir::Chain
+convUnderTest(int k1, int k2)
+{
+    ir::ConvChainConfig cfg;
+    cfg.ic = 4;
+    cfg.h = cfg.w = 9;
+    cfg.oc1 = 8;
+    cfg.oc2 = 6;
+    cfg.k1 = k1;
+    cfg.k2 = k2;
+    cfg.stride1 = 2;
+    cfg.name = "conv" + std::to_string(k1) + "x" + std::to_string(k1) +
+               "-" + std::to_string(k2) + "x" + std::to_string(k2);
+    return ir::makeConvChain(cfg);
+}
+
 TEST(PlanVerifier, RecountMatchesAlgorithmOne)
 {
     const ir::Chain chain = gemmChainUnderTest();
@@ -319,17 +377,36 @@ TEST(PlanVerifier, RecountMatchesAlgorithmOne)
             for (const ir::Axis &axis : chain.axes()) {
                 tiles.push_back(std::min(choice, axis.extent));
             }
-            const model::DataMovement algo =
-                model::computeDataMovement(chain, perm, tiles);
-            const auto brute = bruteForceDataMovement(
-                chain, perm, tiles, model::ModelOptions{}, 1 << 20);
-            ASSERT_TRUE(brute.has_value()) << order;
-            EXPECT_EQ(brute->memUsageBytes, algo.memUsageBytes) << order;
-            for (std::size_t t = 0; t < chain.tensors().size(); ++t) {
-                EXPECT_NEAR(brute->perTensorBytes[t],
-                            algo.perTensorBytes[t], 0.5)
-                    << order << " tile " << choice << " tensor "
-                    << chain.tensors()[t].name;
+            expectRecountMatches(chain, perm, tiles, model::ModelOptions{});
+        }
+    }
+
+    // Every chain family under random full orders (pinned kernel axes
+    // included) and ragged random tiles, intermediates on chip and
+    // spilled.
+    const std::vector<ir::Chain> chains = {
+        chain, chain3UnderTest(ir::Epilogue::None),
+        chain3UnderTest(ir::Epilogue::Softmax), convUnderTest(3, 1),
+        convUnderTest(1, 3)};
+    Rng rng(27);
+    for (const ir::Chain &c : chains) {
+        for (int draw = 0; draw < 40; ++draw) {
+            std::vector<ir::AxisId> perm;
+            std::vector<std::int64_t> tiles;
+            for (ir::AxisId a = 0; a < c.numAxes(); ++a) {
+                perm.push_back(a);
+                const std::int64_t extent =
+                    c.axes()[static_cast<std::size_t>(a)].extent;
+                tiles.push_back(1 + static_cast<std::int64_t>(rng.below(
+                                        static_cast<std::uint64_t>(extent))));
+            }
+            for (std::size_t i = perm.size(); i > 1; --i) {
+                std::swap(perm[i - 1], perm[rng.below(i)]);
+            }
+            for (bool spilled : {false, true}) {
+                model::ModelOptions options;
+                options.intermediatesAreIO = spilled;
+                expectRecountMatches(c, perm, tiles, options);
             }
         }
     }
