@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "support/error.hpp"
 #include "support/mathutil.hpp"
 
 namespace chimera::analysis {
@@ -19,7 +20,7 @@ OrderAnalyzer::OrderAnalyzer(const Chain &chain,
                              const solver::TileConstraints &constraints)
 {
     const auto n = static_cast<std::size_t>(chain.numAxes());
-    inKey_.assign(n, 1);
+    std::vector<char> inKey(n, 1);
     for (AxisId a = 0; a < chain.numAxes(); ++a) {
         const auto ai = static_cast<std::size_t>(a);
         const std::int64_t extent = chain.axes()[ai].extent;
@@ -44,34 +45,54 @@ OrderAnalyzer::OrderAnalyzer(const Chain &chain,
         const bool filterFree = chain.axes()[ai].reorderable &&
                                 extent > 1 &&
                                 ceilDiv(extent, filterTile) > 1;
-        inKey_[ai] = (alwaysSingle && !filterFree) ? 0 : 1;
+        inKey[ai] = (alwaysSingle && !filterFree) ? 0 : 1;
     }
 
-    opUses_.resize(chain.ops().size());
-    for (std::size_t o = 0; o < chain.ops().size(); ++o) {
-        opUses_[o].assign(n, 0);
-        for (AxisId a : chain.ops()[o].loops) {
-            opUses_[o][static_cast<std::size_t>(a)] = 1;
+    // One bit per pair x < y of key axes that share an operator,
+    // numbered x-major. Pinned axes trail every candidate order in a
+    // fixed order, so pairs with one of them never differ and get none.
+    std::vector<char> shared(n * n, 0);
+    for (const ir::OpDecl &op : chain.ops()) {
+        for (const AxisId x : op.loops) {
+            for (const AxisId y : op.loops) {
+                shared[static_cast<std::size_t>(x) * n +
+                       static_cast<std::size_t>(y)] = 1;
+            }
+        }
+    }
+    const auto ordered = [&](std::size_t a) {
+        return inKey[a] != 0 && chain.axes()[a].reorderable;
+    };
+    leads_.assign(n, 0);
+    pairs_.assign(n, 0);
+    int bit = 0;
+    for (std::size_t x = 0; x < n; ++x) {
+        for (std::size_t y = x + 1; y < n; ++y) {
+            if (shared[x * n + y] == 0 || !ordered(x) || !ordered(y)) {
+                continue;
+            }
+            CHIMERA_CHECK(bit < 64, "chain " + chain.name() +
+                                        " has more than 64 symmetry-key"
+                                        " axis pairs");
+            const std::uint64_t mask = std::uint64_t{1} << bit++;
+            leads_[x] |= mask;
+            pairs_[x] |= mask;
+            pairs_[y] |= mask;
         }
     }
 }
 
-std::string
+std::uint64_t
 OrderAnalyzer::symmetryKey(const std::vector<AxisId> &perm) const
 {
-    // One character per (op, key axis) occurrence keeps the key compact
-    // enough for hash-set probing on the hot enumeration path; chains
-    // have far fewer axes than the printable range used here.
-    std::string key;
-    key.reserve(opUses_.size() * perm.size());
-    for (const std::vector<char> &uses : opUses_) {
-        for (const AxisId a : perm) {
-            const auto ai = static_cast<std::size_t>(a);
-            if (uses[ai] != 0 && inKey_[ai] != 0) {
-                key += static_cast<char>('A' + a);
-            }
-        }
-        key += '|';
+    // A pair's bit is decided at the first of its two axes in the
+    // order: set when that is the smaller axis x.
+    std::uint64_t key = 0;
+    std::uint64_t decided = 0;
+    for (const AxisId a : perm) {
+        const auto ai = static_cast<std::size_t>(a);
+        key |= leads_[ai] & ~decided;
+        decided |= pairs_[ai];
     }
     return key;
 }

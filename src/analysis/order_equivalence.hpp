@@ -36,7 +36,6 @@
  */
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "ir/chain.hpp"
@@ -66,7 +65,7 @@ const char *pruneModeName(PruneMode mode);
  */
 struct SearchStats
 {
-    /** Candidate orders materialized (after the maxPermutations cap). */
+    /** Candidate orders visited (after the maxPermutations cap). */
     std::int64_t enumerated = 0;
 
     /** True when maxPermutations cut the enumeration short. */
@@ -85,32 +84,41 @@ struct SearchStats
 /**
  * The static analyzer behind symmetry pruning. Built once per planner
  * search from the chain and the solver constraints the search runs
- * under (pinned axes and executability pins applied); which axes enter
- * the symmetry keys is derived in the constructor, so per-order key
- * queries are cheap on the hot enumeration path.
+ * under (pinned axes and executability pins applied). The constructor
+ * derives which axes enter the symmetry keys and which pairs of them
+ * share an operator, so a per-order key costs two word operations per
+ * axis on the hot enumeration path.
  */
 class OrderAnalyzer
 {
   public:
+    /**
+     * Throws Error when the reorderable key axes of @p chain form more
+     * than 64 pairs that share an operator (the planner's limit of 8
+     * reorderable axes needs at most 28).
+     */
     OrderAnalyzer(const ir::Chain &chain,
                   const solver::TileConstraints &constraints);
 
     /**
-     * Canonical symmetry-class key of @p perm: the concatenation, per
-     * operator, of the induced subsequence of the order restricted to
-     * that operator's key axes. Two orders with equal keys have
-     * syntactically identical DV expressions and identical
-     * executability, so the solver returns bitwise-identical solutions
-     * for both.
+     * Canonical symmetry-class key of the candidate order @p perm: one
+     * bit per pair x < y of reorderable key axes that share an
+     * operator, set when x comes before y (the pinned axes trail every
+     * candidate in a fixed order, so their pairs never differ). Two
+     * candidates agree on every such pair exactly when every
+     * operator's induced subsequence over its key axes agrees, so
+     * orders with equal keys have syntactically identical DV
+     * expressions and identical executability, and the solver returns
+     * bitwise-identical solutions for both.
      */
-    std::string symmetryKey(const std::vector<ir::AxisId> &perm) const;
+    std::uint64_t symmetryKey(const std::vector<ir::AxisId> &perm) const;
 
   private:
-    /** Per axis: participates in symmetry keys. */
-    std::vector<char> inKey_;
+    /** Per axis: the key bits of the pairs in which it is the smaller x. */
+    std::vector<std::uint64_t> leads_;
 
-    /** Per op: usesLoop bitmap (numOps x numAxes). */
-    std::vector<std::vector<char>> opUses_;
+    /** Per axis: the key bits of every pair it belongs to. */
+    std::vector<std::uint64_t> pairs_;
 };
 
 } // namespace chimera::analysis

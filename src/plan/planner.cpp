@@ -341,22 +341,6 @@ selfCheck(const Chain &chain, const ExecutionPlan &plan,
                       chain.name() + ":\n" + report.render());
 }
 
-/** Builds the full permutation: reorderable prefix + pinned innermost. */
-std::vector<AxisId>
-fullPermutation(const Chain &chain, const std::vector<AxisId> &reorderable,
-                const std::vector<int> &orderIdx)
-{
-    std::vector<AxisId> perm;
-    perm.reserve(static_cast<std::size_t>(chain.numAxes()));
-    for (int idx : orderIdx) {
-        perm.push_back(reorderable[static_cast<std::size_t>(idx)]);
-    }
-    for (AxisId pinned : chain.pinnedAxes()) {
-        perm.push_back(pinned);
-    }
-    return perm;
-}
-
 /** The enumeration + solve path behind planChain (cache misses). */
 ExecutionPlan
 planChainUncached(const Chain &chain, const PlannerOptions &options)
@@ -383,51 +367,41 @@ planChainUncached(const Chain &chain, const PlannerOptions &options)
             tile, chain.axes()[static_cast<std::size_t>(axis)].extent);
     }
 
-    // Materialize the candidate orders (respecting the cap) so the
-    // independent (permutation -> tile solve) steps can be distributed
+    // Serial pre-pass over the visited orders: symmetry-class
+    // membership, then the executability filter by axis positions
+    // against region/user sets derived once. Only the survivors are
+    // copied, so their independent tile solves can be distributed
     // across threads.
     obs::Span searchSpan(obs::trace(), "plan.search", "plan");
-    bool truncated = false;
-    const std::vector<std::vector<AxisId>> candidates =
-        enumerateCandidateOrders(chain, options, &truncated);
-
-    analysis::SearchStats stats;
-    stats.enumerated = static_cast<std::int64_t>(candidates.size());
-    stats.truncated = truncated;
-
-    // Serial pre-pass per candidate: symmetry-class membership, then the
-    // executability filter by axis positions against region/user sets
-    // derived once. Only the survivors reach the tile solver.
     const analysis::OrderAnalyzer analyzer(chain, constraints);
     const std::vector<std::vector<model::AxisRole>> roles =
         model::intermediateAxisRoles(chain, filterTiles);
-    std::unordered_set<std::string> seenKeys;
+    std::unordered_set<std::uint64_t> seenKeys;
     const bool useSymmetry = options.prune == analysis::PruneMode::Symmetry;
-    std::vector<std::size_t> survivors;
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-        const std::vector<AxisId> &perm = candidates[i];
-        if (useSymmetry &&
-            !seenKeys.insert(analyzer.symmetryKey(perm)).second) {
-            ++stats.symmetryPruned;
-        } else if (options.onlyExecutableOrders &&
-                   !model::isExecutableOrder(roles, perm)) {
-            ++stats.filtered;
-        } else {
-            survivors.push_back(i);
-        }
-    }
+    analysis::SearchStats stats;
+    std::vector<std::vector<AxisId>> survivors;
+    stats.truncated = forEachCandidateOrder(
+        chain, options, [&](const std::vector<AxisId> &perm) {
+            ++stats.enumerated;
+            if (useSymmetry &&
+                !seenKeys.insert(analyzer.symmetryKey(perm)).second) {
+                ++stats.symmetryPruned;
+            } else if (options.onlyExecutableOrders &&
+                       !model::isExecutableOrder(roles, perm)) {
+                ++stats.filtered;
+            } else {
+                survivors.push_back(perm);
+            }
+        });
     stats.solved = static_cast<std::int64_t>(survivors.size());
 
     std::vector<solver::TileSolution> outcomes(survivors.size());
     parallelFor(poolForThreads(options.threads), 0,
                 static_cast<std::int64_t>(survivors.size()),
                 [&](std::int64_t j, int) {
-                    outcomes[static_cast<std::size_t>(j)] =
-                        solver::solveTiles(
-                            chain,
-                            candidates[survivors[static_cast<std::size_t>(
-                                j)]],
-                            constraints, solverOptions);
+                    const auto jj = static_cast<std::size_t>(j);
+                    outcomes[jj] = solver::solveTiles(
+                        chain, survivors[jj], constraints, solverOptions);
                 });
 
     // Deterministic argmin: candidates are always reduced in
@@ -450,7 +424,7 @@ planChainUncached(const Chain &chain, const PlannerOptions &options)
             (sol.volumeBytes < best.predictedVolumeBytes + 0.5 &&
              sol.memUsageBytes < best.memUsageBytes);
         if (better) {
-            best.perm = candidates[survivors[j]];
+            best.perm = survivors[j];
             best.tiles = sol.tiles;
             best.predictedVolumeBytes = sol.volumeBytes;
             best.memUsageBytes = sol.memUsageBytes;
@@ -501,31 +475,32 @@ planChainUncached(const Chain &chain, const PlannerOptions &options)
 
 } // namespace
 
-std::vector<std::vector<AxisId>>
-enumerateCandidateOrders(const Chain &chain, const PlannerOptions &options,
-                         bool *truncated)
+bool
+forEachCandidateOrder(
+    const Chain &chain, const PlannerOptions &options,
+    const std::function<void(const std::vector<AxisId> &)> &visit)
 {
-    const std::vector<AxisId> reorderable = chain.reorderableAxes();
-    std::vector<std::vector<AxisId>> candidates;
-    bool capped = false;
-    for (const std::vector<int> &orderIdx :
-         allPermutations(static_cast<int>(reorderable.size()))) {
-        if (static_cast<int>(candidates.size()) >=
-            options.maxPermutations) {
-            // No longer silent: the truncated flag travels with the
-            // fresh plan's search stats and its `plan.search` span.
+    // Reorderable axes come in ascending AxisId order, so stepping
+    // next_permutation over the prefix visits the orders in the
+    // lexicographic order of their index sequences.
+    std::vector<AxisId> order = chain.reorderableAxes();
+    const auto prefix = static_cast<std::ptrdiff_t>(order.size());
+    for (AxisId pinned : chain.pinnedAxes()) {
+        order.push_back(pinned);
+    }
+    int visited = 0;
+    do {
+        if (visited >= options.maxPermutations) {
+            // The truncated flag also travels with the fresh plan's
+            // search stats and its `plan.search` span.
             CHIMERA_WARN("permutation cap reached for chain "
                          << chain.name());
-            capped = true;
-            break;
+            return true;
         }
-        candidates.push_back(
-            fullPermutation(chain, reorderable, orderIdx));
-    }
-    if (truncated != nullptr) {
-        *truncated = capped;
-    }
-    return candidates;
+        visit(order);
+        ++visited;
+    } while (std::next_permutation(order.begin(), order.begin() + prefix));
+    return false;
 }
 
 solver::TileConstraints

@@ -13,6 +13,7 @@
  * tiles to nest inside outer-level tiles.
  */
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -215,17 +216,18 @@ analysis::SafetyAnalysis certifyPlan(const ir::Chain &chain,
                                      ExecutionPlan &plan);
 
 /**
- * The candidate block orders planChain enumerates for @p chain under
- * @p options: every permutation of the reorderable axes (the
- * maxPermutations cap applied) with the pinned axes appended
- * innermost. @p truncated (optional) reports whether the cap cut the
- * enumeration short. Exported so the search verifier can replay the
- * exact search space (OE01).
+ * Visits the candidate block orders planChain searches for @p chain
+ * under @p options, in enumeration order: every permutation of the
+ * reorderable axes in lexicographic order, with the pinned axes
+ * appended innermost, stopping after options.maxPermutations orders.
+ * Each order is written into one reused buffer, so @p visit copies the
+ * orders it keeps. Returns true when the cap left orders unvisited.
+ * Exported so the search verifier can replay the exact search space
+ * (OE01).
  */
-std::vector<std::vector<ir::AxisId>>
-enumerateCandidateOrders(const ir::Chain &chain,
-                         const PlannerOptions &options,
-                         bool *truncated = nullptr);
+bool forEachCandidateOrder(
+    const ir::Chain &chain, const PlannerOptions &options,
+    const std::function<void(const std::vector<ir::AxisId> &)> &visit);
 
 /**
  * The tile constraints the order search actually solves under:

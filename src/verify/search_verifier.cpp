@@ -67,8 +67,6 @@ replaySearch(const ir::Chain &chain, const plan::PlannerOptions &options)
     const solver::TileConstraints constraints =
         plan::searchConstraints(chain, prunedOpts);
     const analysis::OrderAnalyzer analyzer(chain, constraints);
-    const std::vector<std::vector<ir::AxisId>> candidates =
-        plan::enumerateCandidateOrders(chain, prunedOpts);
 
     solver::TileSolverOptions solverOptions;
     solverOptions.memCapacityBytes = model::clampedPerWorkerBudgetBytes(
@@ -79,33 +77,36 @@ replaySearch(const ir::Chain &chain, const plan::PlannerOptions &options)
 
     // OE01 direct: members of a symmetry class must solve
     // bitwise-identically to their representative (sampled classes).
-    std::unordered_map<std::string, std::size_t> representatives;
-    std::set<std::string> checkedClasses;
+    std::unordered_map<std::uint64_t, std::vector<ir::AxisId>>
+        representatives;
+    std::set<std::uint64_t> checkedClasses;
     int classesChecked = 0;
-    for (std::size_t i = 0;
-         i < candidates.size() && classesChecked < 3; ++i) {
-        const std::string key = analyzer.symmetryKey(candidates[i]);
-        const auto [it, inserted] = representatives.emplace(key, i);
-        if (inserted || !checkedClasses.insert(key).second) {
-            continue;
-        }
-        const solver::TileSolution rep = solver::solveTiles(
-            chain, candidates[it->second], constraints, solverOptions);
-        const solver::TileSolution member = solver::solveTiles(
-            chain, candidates[i], constraints, solverOptions);
-        if (rep.feasible != member.feasible ||
-            rep.tiles != member.tiles ||
-            !sameVolume(rep.volumeBytes, member.volumeBytes) ||
-            rep.memUsageBytes != member.memUsageBytes) {
-            out.report.error(
-                "OE01",
-                "class of " +
-                    plan::orderString(chain, candidates[it->second]),
-                "member " + plan::orderString(chain, candidates[i]) +
-                    " solves differently from its representative");
-        }
-        ++classesChecked;
-    }
+    plan::forEachCandidateOrder(
+        chain, prunedOpts, [&](const std::vector<ir::AxisId> &perm) {
+            if (classesChecked >= 3) {
+                return;
+            }
+            const std::uint64_t key = analyzer.symmetryKey(perm);
+            const auto [it, inserted] = representatives.try_emplace(key, perm);
+            if (inserted || !checkedClasses.insert(key).second) {
+                return;
+            }
+            const std::vector<ir::AxisId> &repPerm = it->second;
+            const solver::TileSolution rep = solver::solveTiles(
+                chain, repPerm, constraints, solverOptions);
+            const solver::TileSolution member =
+                solver::solveTiles(chain, perm, constraints, solverOptions);
+            if (rep.feasible != member.feasible ||
+                rep.tiles != member.tiles ||
+                !sameVolume(rep.volumeBytes, member.volumeBytes) ||
+                rep.memUsageBytes != member.memUsageBytes) {
+                out.report.error(
+                    "OE01", "class of " + plan::orderString(chain, repPerm),
+                    "member " + plan::orderString(chain, perm) +
+                        " solves differently from its representative");
+            }
+            ++classesChecked;
+        });
     return out;
 }
 

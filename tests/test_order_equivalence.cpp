@@ -3,7 +3,9 @@
  * Tests for the order-equivalence analyzer and the pruned search:
  * symmetry pruning must be bitwise-indistinguishable from exhaustive
  * enumeration (the property sweep runs randomized chains at 1/2/8
- * planner threads), its candidate accounting must close, the OE01
+ * planner threads), its candidate accounting must close, the pair-order
+ * key must partition orders like the induced-subsequence definition, the
+ * planner-scaling chains must keep their search statistics, the OE01
  * replay must come back clean, a cache entry carrying a retired
  * `search:` line must be replanned, and the two modes must share
  * fingerprints.
@@ -11,14 +13,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "analysis/order_equivalence.hpp"
 #include "exec/constraints.hpp"
 #include "exec/gemm_chain3_exec.hpp"
+#include "hw/machines.hpp"
 #include "ir/builders.hpp"
 #include "kernels/micro_kernel.hpp"
 #include "plan/plan_cache.hpp"
@@ -144,6 +149,206 @@ TEST(OrderAnalyzer, SearchStatsCountsAreConsistent)
             EXPECT_EQ(s.symmetryPruned, 0);
         }
     }
+}
+
+/**
+ * The axes a symmetry key orders, by the rule DESIGN.md states: every
+ * axis except those invisible to both the model (its smallest tile
+ * candidate covers its extent) and the executability filter (not a
+ * reorderable axis with more than one block at its filter tile).
+ */
+std::vector<bool>
+referenceKeyAxes(const ir::Chain &chain,
+                 const solver::TileConstraints &constraints)
+{
+    std::vector<bool> inKey;
+    for (ir::AxisId a = 0; a < chain.numAxes(); ++a) {
+        const ir::Axis &axis = chain.axes()[static_cast<std::size_t>(a)];
+        const bool alwaysSingle =
+            solver::axisTileCandidates(chain, a, constraints).front() >=
+            axis.extent;
+        const auto fixed = constraints.fixed.find(a);
+        const std::int64_t filterTile =
+            fixed == constraints.fixed.end() ? 1 : fixed->second;
+        const bool filterFree = axis.reorderable && filterTile < axis.extent;
+        inKey.push_back(!alwaysSingle || filterFree);
+    }
+    return inKey;
+}
+
+/**
+ * Every order of each chain, under the planner's search constraints:
+ * two orders share a symmetry key exactly when every operator's induced
+ * subsequence over the key axes agrees.
+ */
+TEST(OrderAnalyzer, PairKeyMatchesInducedSubsequences)
+{
+    ir::GemmChainConfig g2;
+    g2.batch = 4;
+    g2.m = 96;
+    g2.n = 64;
+    g2.k = 32;
+    g2.l = 128;
+    g2.name = "pair-key-gemm2";
+    ir::GemmChainConfig g2NoBatch = g2;
+    g2NoBatch.batch = 1;
+    g2NoBatch.name = "pair-key-gemm2-nobatch";
+    ir::GemmChain3Config g3;
+    g3.batch = 2;
+    g3.m = 128;
+    g3.n = 64;
+    g3.k = 32;
+    g3.l = 96;
+    g3.p = 48;
+    g3.name = "pair-key-gemm3";
+    ir::GemmChain3Config attention = g3;
+    attention.epilogue = ir::Epilogue::Softmax;
+    attention.name = "pair-key-attention";
+    ir::ConvChainConfig conv;
+    conv.ic = 16;
+    conv.h = 28;
+    conv.w = 28;
+    conv.oc1 = 32;
+    conv.oc2 = 32;
+    conv.k1 = 3;
+    conv.k2 = 1;
+    conv.name = "pair-key-conv";
+
+    struct Case
+    {
+        ir::Chain chain;
+        solver::TileConstraints constraints;
+        bool dropsAnAxis;
+    };
+    std::vector<Case> cases;
+    for (const ir::GemmChainConfig &cfg : {g2, g2NoBatch}) {
+        ir::Chain chain = ir::makeGemmChain(cfg);
+        solver::TileConstraints c =
+            exec::cpuChainConstraints(chain, testKernel());
+        cases.push_back({std::move(chain), std::move(c), false});
+    }
+    // The pinned full-extent panel axis (and softmax's l) leave the key.
+    for (const ir::GemmChain3Config &cfg : {g3, attention}) {
+        ir::Chain chain = ir::makeGemmChain3(cfg);
+        solver::TileConstraints c =
+            exec::gemmChain3Constraints(chain, testKernel());
+        cases.push_back({std::move(chain), std::move(c), true});
+    }
+    {
+        ir::Chain chain = ir::makeConvChain(conv);
+        solver::TileConstraints c =
+            exec::cpuChainConstraints(chain, testKernel());
+        cases.push_back({std::move(chain), std::move(c), false});
+    }
+
+    for (const Case &tc : cases) {
+        plan::PlannerOptions options;
+        options.memCapacityBytes = 96.0 * 1024;
+        options.constraints = tc.constraints;
+        const solver::TileConstraints constraints =
+            plan::searchConstraints(tc.chain, options);
+        const analysis::OrderAnalyzer analyzer(tc.chain, constraints);
+        const std::vector<bool> inKey =
+            referenceKeyAxes(tc.chain, constraints);
+
+        bool dropped = false;
+        for (const ir::AxisId a : tc.chain.reorderableAxes()) {
+            dropped = dropped || !inKey[static_cast<std::size_t>(a)];
+        }
+        EXPECT_EQ(dropped, tc.dropsAnAxis) << tc.chain.name();
+
+        using Subsequences = std::vector<std::vector<ir::AxisId>>;
+        std::map<std::uint64_t, Subsequences> byKey;
+        std::map<Subsequences, std::uint64_t> bySubsequences;
+        std::int64_t orders = 0;
+        plan::forEachCandidateOrder(
+            tc.chain, options, [&](const std::vector<ir::AxisId> &perm) {
+                ++orders;
+                Subsequences induced;
+                for (const ir::OpDecl &op : tc.chain.ops()) {
+                    std::vector<ir::AxisId> sub;
+                    for (const ir::AxisId a : perm) {
+                        if (inKey[static_cast<std::size_t>(a)] &&
+                            op.usesLoop(a)) {
+                            sub.push_back(a);
+                        }
+                    }
+                    induced.push_back(std::move(sub));
+                }
+                const std::uint64_t key = analyzer.symmetryKey(perm);
+                const auto [k, newKey] = byKey.emplace(key, induced);
+                const auto [s, newSub] = bySubsequences.emplace(induced, key);
+                EXPECT_EQ(k->second, induced)
+                    << tc.chain.name() << ": one key, two subsequences at "
+                    << plan::orderString(tc.chain, perm);
+                EXPECT_EQ(s->second, key)
+                    << tc.chain.name() << ": one subsequence, two keys at "
+                    << plan::orderString(tc.chain, perm);
+            });
+        EXPECT_EQ(orders, factorial(static_cast<int>(
+                              tc.chain.reorderableAxes().size())));
+        EXPECT_EQ(byKey.size(), bySubsequences.size()) << tc.chain.name();
+        EXPECT_GT(byKey.size(), 1U) << tc.chain.name();
+        EXPECT_LT(static_cast<std::int64_t>(byKey.size()), orders)
+            << tc.chain.name();
+    }
+}
+
+/**
+ * The three full-size chains of bench/planner_scaling keep the search
+ * statistics BENCH_planner.json records for them, in both prune modes
+ * (solved / enumerated / filtered / symmetry-pruned).
+ */
+TEST(PlannerScaling, BenchChainsKeepTheirSearchStats)
+{
+    ir::GemmChainConfig g2;
+    g2.name = "chain2-gemm";
+    g2.m = g2.n = g2.k = g2.l = 256;
+    ir::GemmChain3Config g3;
+    g3.name = "chain3-gemm";
+    g3.batch = 2;
+    g3.m = g3.n = g3.k = g3.l = 256;
+    g3.p = 64;
+    ir::GemmChain3Config g4 = g3;
+    g4.name = "chain4-attention";
+    g4.epilogue = ir::Epilogue::Softmax;
+    g4.softmaxScale = 1.0f / std::sqrt(static_cast<float>(g4.k));
+
+    struct Expected
+    {
+        std::int64_t solved, enumerated, filtered, symmetryPruned;
+    };
+    const auto check = [](const ir::Chain &chain,
+                          const solver::TileConstraints &constraints,
+                          const Expected &none, const Expected &symmetry) {
+        plan::PlannerOptions options;
+        options.memCapacityBytes = hw::kPlanningBudgetBytes;
+        options.constraints = constraints;
+        for (const analysis::PruneMode mode :
+             {analysis::PruneMode::None, analysis::PruneMode::Symmetry}) {
+            options.prune = mode;
+            const analysis::SearchStats s =
+                plan::planChain(chain, options).search;
+            const Expected &e =
+                mode == analysis::PruneMode::None ? none : symmetry;
+            const std::string what =
+                chain.name() + " " + analysis::pruneModeName(mode);
+            EXPECT_EQ(s.solved, e.solved) << what;
+            EXPECT_EQ(s.enumerated, e.enumerated) << what;
+            EXPECT_EQ(s.filtered, e.filtered) << what;
+            EXPECT_EQ(s.symmetryPruned, e.symmetryPruned) << what;
+            EXPECT_FALSE(s.truncated) << what;
+        }
+    };
+    const ir::Chain chain2 = ir::makeGemmChain(g2);
+    check(chain2, exec::cpuChainConstraints(chain2, testKernel()),
+          {4, 24, 20, 0}, {2, 24, 16, 6});
+    const ir::Chain chain3 = ir::makeGemmChain3(g3);
+    check(chain3, exec::gemmChain3Constraints(chain3, testKernel()),
+          {36, 720, 684, 0}, {2, 720, 70, 648});
+    const ir::Chain chain4 = ir::makeGemmChain3(g4);
+    check(chain4, exec::gemmChain3Constraints(chain4, testKernel()),
+          {120, 720, 600, 0}, {2, 720, 16, 702});
 }
 
 TEST(SearchReplay, CleanOnFixtureChains)

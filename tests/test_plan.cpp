@@ -238,6 +238,28 @@ TEST(Planner, RespectsPermutationCap)
     options.prune = analysis::PruneMode::None; // cap semantics, not pruning
     const ExecutionPlan plan = planChain(chain, options);
     EXPECT_EQ(plan.candidatesExamined, 5);
+    EXPECT_EQ(plan.search.enumerated, 5);
+    EXPECT_TRUE(plan.search.truncated);
+
+    // A cap of exactly n! leaves nothing unvisited: not truncated.
+    const std::int64_t all =
+        factorial(static_cast<int>(chain.reorderableAxes().size()));
+    options.maxPermutations = static_cast<int>(all);
+    const ExecutionPlan full = planChain(chain, options);
+    EXPECT_EQ(full.search.enumerated, all);
+    EXPECT_FALSE(full.search.truncated);
+
+    // Capped with symmetry pruning and the filter: the counts still
+    // close over the visited orders.
+    options.maxPermutations = 10;
+    options.onlyExecutableOrders = true;
+    options.prune = analysis::PruneMode::Symmetry;
+    const analysis::SearchStats capped = planChain(chain, options).search;
+    EXPECT_TRUE(capped.truncated);
+    EXPECT_EQ(capped.enumerated, 10);
+    EXPECT_EQ(capped.filtered + capped.symmetryPruned + capped.solved, 10);
+    EXPECT_GT(capped.symmetryPruned, 0);
+    EXPECT_GT(capped.filtered, 0);
 }
 
 TEST(Planner, ParallelPlanningMatchesSerialOnGemmChain)
